@@ -313,7 +313,7 @@ def build_parser():
     )
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--seed", type=int, default=None,
-                    help="override the quadrature/rootfinder seed")
+                    help="override the seed of the quasi-Monte-Carlo integrator (--qmc)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("parse", help="parse a map; report degree and criticals")

@@ -37,7 +37,15 @@ from .cycles import (
     CLASS_UNRESOLVED,
     PARABOLIC_CLASSES,
 )
-from .ratmap import RamificationDivisor, RationalMap, SpherePoint, SNAP_TOL, _as_point
+from .ratmap import (
+    RamificationDivisor,
+    RationalMap,
+    SpherePoint,
+    _as_point,
+    chart_coords,
+    distance,
+    snap_key,
+)
 
 DEFAULT_BUDGET = 100_000
 GEOMETRIC_RUN = 20
@@ -60,14 +68,12 @@ class Region:
     r_in: float = 0.0
     r_out: float = 0.0
 
-    def contains(self, pt: SpherePoint):
-        if pt.is_infinity:
+    def contains(self, z):
+        """Whether the raw value z (complex, or None for ∞) lies in the region."""
+        if z is None:
             return False
-        c = 0j if self.center is None else (
-            0j if self.center.is_infinity else self.center.value
-        )
-        rad = abs(pt.value - c)
-        return self.r_in - 1e-12 <= rad <= self.r_out + 1e-12
+        c = 0j if self.center is None or self.center.is_infinity else self.center.value
+        return self.r_in - 1e-12 <= abs(z - c) <= self.r_out + 1e-12
 
 
 @dataclass
@@ -79,7 +85,7 @@ class Tail:
     confidence: str = "high"
     budget_used: int = 0
     final_stats: dict = field(default_factory=dict)
-    orbit_keys: set = field(default_factory=set)
+    orbit_keys: set = field(default_factory=set)  # snapped orbit points (set-like)
 
     @property
     def multiplicity(self):
@@ -150,118 +156,105 @@ def regions_from_annotations(cycles, annotations):
 
 
 class _OrbitTracker:
-    """State machine applying the detector battery along one orbit."""
+    """State machine applying the detector battery along one orbit.
+
+    The orbit runs on raw values (complex, or None for ∞) through
+    ``RationalMap.step``; a SpherePoint is built only at the exits.
+    """
 
     def __init__(self, f, cycles, regions, budget):
         self.f = f
         self.cycles = cycles
         self.regions = regions
         self.budget = budget
+        self.petals = [
+            (i, c.parabolic, chart_coords(c.parabolic.z0.value))
+            for i, c in enumerate(cycles)
+            if c.cls in PARABOLIC_CLASSES and c.parabolic is not None
+        ]
+        self.sinks = [
+            (i, [q.value for q in c.points])
+            for i, c in enumerate(cycles)
+            if c.cls in (CLASS_ATTRACTING, CLASS_SUPER)
+        ]
 
     def run(self, start: SpherePoint):
-        f = self.f
+        """Classify the orbit of start; "keys" holds its snapped points."""
+        step = self.f.step
         seen = {}
-        keys = set()
-        z = start
-        geo_run = {i: 0 for i in range(len(self.cycles))}
-        geo_prev = {i: np.inf for i in range(len(self.cycles))}
+
+        def result(kind, target, steps, stats):
+            return {"kind": kind, "target": target, "steps": steps,
+                    "keys": seen.keys(), "stats": stats}
+
+        geo_run = {i: 0 for i, _ in self.sinks}
+        geo_prev = {i: np.inf for i, _ in self.sinks}
         petal_run = {}
         petal_prev = {}
         dwell_run = {r.id: 0 for r in self.regions}
+        z = start.value
         for n in range(self.budget + 1):
-            key = z.snap_key()
-            keys.add(key)
-            if key in seen and seen[key] < n:
-                prev = seen[key]
-                return {
-                    "kind": KIND_BOUNDED,
-                    "target": self._landing_cycle(z),
-                    "steps": n,
-                    "keys": keys,
-                    "stats": {"preperiod": prev, "loop": n - prev},
-                }
+            if n:
+                z = step(z)
+            key = snap_key(z)
+            prev = seen.get(key)
+            if prev is not None:
+                return result(KIND_BOUNDED, self._landing_cycle(z), n,
+                              {"preperiod": prev, "loop": n - prev})
             seen[key] = n
             # parabolic petal detector
-            for i, c in enumerate(self.cycles):
-                if c.cls in PARABOLIC_CLASSES and c.parabolic is not None:
-                    inv = c.parabolic
-                    u = _local(z, inv.z0)
-                    if u is not None and abs(u) < 0.4:
-                        x = inv.normal_series(u)
-                        ax = abs(x)
-                        ok = 0 < ax < abs(petal_prev.get(i, np.inf)) and _in_attracting_sector(
-                            x, inv.e_loc
-                        )
-                        petal_run[i] = petal_run.get(i, 0) + 1 if ok else 0
-                        petal_prev[i] = ax if ok else np.inf
-                        if petal_run[i] >= PETAL_RUN:
-                            return {
-                                "kind": KIND_TAME,
-                                "target": f"C{i}",
-                                "steps": n,
-                                "keys": keys,
-                                "stats": {"|x|": ax},
-                            }
+            for i, inv, (c0, t0) in self.petals:
+                u = _local(z, c0, t0)
+                if u is not None and abs(u) < 0.4:
+                    x = inv.normal_series(u)
+                    ax = abs(x)
+                    ok = 0 < ax < abs(petal_prev.get(i, np.inf)) and _in_attracting_sector(
+                        x, inv.e_loc
+                    )
+                    petal_run[i] = petal_run.get(i, 0) + 1 if ok else 0
+                    petal_prev[i] = ax if ok else np.inf
+                    if petal_run[i] >= PETAL_RUN:
+                        return result(KIND_TAME, f"C{i}", n, {"|x|": ax})
             # geometric convergence detector
-            for i, c in enumerate(self.cycles):
-                if c.cls in (CLASS_ATTRACTING, CLASS_SUPER):
-                    dist = min(z.distance(q) for q in c.points)
-                    if dist < geo_prev[i]:
-                        geo_run[i] += 1
-                    else:
-                        geo_run[i] = 0
-                    geo_prev[i] = dist
-                    if geo_run[i] >= GEOMETRIC_RUN and dist < GEOMETRIC_FINAL:
-                        return {
-                            "kind": KIND_TAME,
-                            "target": f"C{i}",
-                            "steps": n,
-                            "keys": keys,
-                            "stats": {"distance": dist},
-                        }
+            for i, points in self.sinks:
+                dist = min([distance(z, q) for q in points])
+                if dist < geo_prev[i]:
+                    geo_run[i] += 1
+                else:
+                    geo_run[i] = 0
+                geo_prev[i] = dist
+                if geo_run[i] >= GEOMETRIC_RUN and dist < GEOMETRIC_FINAL:
+                    return result(KIND_TAME, f"C{i}", n, {"distance": dist})
             # annotated-region dwell detector
             for r in self.regions:
                 if r.contains(z):
                     dwell_run[r.id] += 1
                     if dwell_run[r.id] >= DWELL_RUN:
-                        return {
-                            "kind": KIND_TAME,
-                            "target": r.id,
-                            "steps": n,
-                            "keys": keys,
-                            "stats": {"dwell": dwell_run[r.id]},
-                        }
+                        return result(KIND_TAME, r.id, n, {"dwell": dwell_run[r.id]})
                 else:
                     dwell_run[r.id] = 0
-            z = f.evaluate(z)
-        chart, coord = z.chart_coords()
-        return {
-            "kind": KIND_WILD,
-            "target": "",
-            "steps": self.budget,
-            "keys": keys,
-            "stats": {
-                "budget": self.budget,
-                "last_chart": chart,
-                "last_point": [coord.real, coord.imag],
-            },
-        }
+        chart, coord = chart_coords(z)
+        return result(KIND_WILD, "", self.budget, {
+            "budget": self.budget,
+            "last_chart": chart,
+            "last_point": [coord.real, coord.imag],
+        })
 
     def _landing_cycle(self, z):
+        pt = SpherePoint(z)
         for i, c in enumerate(self.cycles):
-            if c.contains(z):
+            if c.contains(pt):
                 return f"C{i}"
         return ""
 
 
-def _local(z: SpherePoint, z0: SpherePoint):
-    c0, t0 = z0.chart_coords()
-    if z.is_infinity:
+def _local(z, c0, t0):
+    """Raw z in the chart c0 of a base point with coordinate t0, minus t0 (None if undefined)."""
+    if z is None:
         return -t0 if c0 == "w" else None
-    t = z.value if c0 == "z" else (1.0 / z.value if z.value != 0 else None)
-    if t is None:
-        return None
-    return t - t0
+    if c0 == "z":
+        return z - t0
+    return 1.0 / z - t0 if z != 0 else None
 
 
 def _in_attracting_sector(x, m, slack=1.02):
@@ -283,13 +276,11 @@ def classify_tails(f: RationalMap, cycles, annotations=(), budget=DEFAULT_BUDGET
         raw.append((pt, mult, res))
     # merge into tails by forward-orbit intersection (snapped key overlap)
     tails = []
-    assigned = [None] * len(raw)
     for i, (pt, mult, res) in enumerate(raw):
         placed = False
         for t in tails:
-            if res["keys"] & t.orbit_keys and res["kind"] == t.classification and res[
-                "target"
-            ] == t.target:
+            if (res["kind"] == t.classification and res["target"] == t.target
+                    and not t.orbit_keys.isdisjoint(res["keys"])):
                 t.members.append((pt, mult))
                 t.orbit_keys |= res["keys"]
                 placed = True
@@ -304,7 +295,7 @@ def classify_tails(f: RationalMap, cycles, annotations=(), budget=DEFAULT_BUDGET
                     confidence="low" if res["kind"] == KIND_WILD else "high",
                     budget_used=res["steps"],
                     final_stats=res["stats"],
-                    orbit_keys=set(res["keys"]),
+                    orbit_keys=res["keys"],
                 )
             )
     split = _build_split(ram, tails)
@@ -362,9 +353,10 @@ def delta_marks(cycles, split: RamSplit):
 def orbit_transcript_rows(f: RationalMap, z0, n):
     """CSV rows (iterate, re, im, chart) of the orbit of z0."""
     rows = []
-    z = _as_point(z0)
+    z = _as_point(z0).value
     for k in range(n + 1):
-        chart, c = z.chart_coords()
+        if k:
+            z = f.step(z)
+        chart, c = chart_coords(z)
         rows.append((k, c.real, c.imag, chart))
-        z = f.evaluate(z)
     return rows

@@ -4,9 +4,16 @@ Points are tagged finite/infinity; all arithmetic that could overflow is
 done in whichever affine chart keeps coordinates small (the w = 1/z chart
 beyond radius 2).  Maps are stored as a reduced fraction of dense
 polynomials with a monic denominator.
+
+The chart rule, the snap grid and the chart-aware distance are functions
+of raw values (a Python ``complex``, or ``None`` for infinity) so that
+orbit loops can run on raw values; ``SpherePoint`` wraps the same rules.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -24,6 +31,33 @@ CHART_RADIUS = 2.0
 
 class MapError(ValueError):
     pass
+
+
+def chart_coords(z):
+    """(chart, coordinate) of a raw value: 'z' for |z| <= 2, else 'w' with w = 1/z."""
+    if z is None:
+        return "w", 0j
+    if abs(z) <= CHART_RADIUS:
+        return "z", z
+    return "w", 1.0 / z
+
+
+def snap_key(z, tol=SNAP_TOL):
+    """Hashable grid key of a raw value; equal points (within ~tol) share or neighbor keys."""
+    chart, c = chart_coords(z)
+    return (chart, round(c.real / tol), round(c.imag / tol))
+
+
+def distance(a, b):
+    """Chart-aware distance of raw values: min of |z1-z2| and |w1-w2| where defined."""
+    d = math.inf
+    if a is not None and b is not None:
+        d = abs(a - b)
+    if a != 0 and b != 0:
+        w1 = 0j if a is None else 1.0 / a
+        w2 = 0j if b is None else 1.0 / b
+        d = min(d, abs(w1 - w2))
+    return d
 
 
 class SpherePoint:
@@ -45,30 +79,18 @@ class SpherePoint:
 
     def chart_coords(self):
         """(chart, coordinate): 'z' for |z| <= 2, else 'w' with w = 1/z."""
-        if self.is_infinity:
-            return "w", 0j
-        if abs(self.value) <= CHART_RADIUS:
-            return "z", self.value
-        return "w", 1.0 / self.value
+        return chart_coords(self.value)
 
     def distance(self, other):
         """Chart-aware distance: min of |z1-z2| and |w1-w2| where defined."""
-        cands = []
-        if not self.is_infinity and not other.is_infinity:
-            cands.append(abs(self.value - other.value))
-        w1 = 0j if self.is_infinity else (1.0 / self.value if self.value != 0 else None)
-        w2 = 0j if other.is_infinity else (1.0 / other.value if other.value != 0 else None)
-        if w1 is not None and w2 is not None:
-            cands.append(abs(w1 - w2))
-        return min(cands) if cands else np.inf
+        return distance(self.value, other.value)
 
     def close_to(self, other, tol=SNAP_TOL):
         return self.distance(other) <= tol
 
     def snap_key(self, tol=SNAP_TOL):
         """Hashable grid key; equal points (within ~tol) share or neighbor keys."""
-        chart, c = self.chart_coords()
-        return (chart, round(c.real / tol), round(c.imag / tol))
+        return snap_key(self.value, tol)
 
     def __repr__(self):
         if self.is_infinity:
@@ -95,6 +117,11 @@ class SpherePoint:
         if obj == "inf":
             return cls.infinity()
         return cls(complex(obj[0], obj[1]))
+
+
+def _horner(p):
+    """Coefficients of p as Python complex, highest degree first."""
+    return tuple(complex(c) for c in p.coeffs[::-1])
 
 
 def _rev_pad(p, d):
@@ -145,6 +172,11 @@ class RationalMap:
         # cached w-chart data: z^d num(1/z), z^d den(1/z)
         self._rnum = _rev_pad(num, self.degree)
         self._rden = _rev_pad(den, self.degree)
+        # Horner coefficients (highest degree first) of (A, B) in each chart
+        self._horner = {
+            "z": (_horner(num), _horner(den)),
+            "w": (_horner(self._rnum), _horner(self._rden)),
+        }
         self._wron = num.derivative() * den - num * den.derivative()
 
     def __repr__(self):
@@ -157,20 +189,30 @@ class RationalMap:
             return self.num, self.den
         return self._rnum, self._rden
 
-    def evaluate(self, z):
-        """f(z) as a SpherePoint, computed in the stable chart."""
-        z = _as_point(z)
-        chart, t = z.chart_coords()
-        a, b = self._chart_pair(chart)
-        n, d = a(t), b(t)
+    def step(self, z):
+        """f on a raw value (complex, or None for ∞), computed in the stable chart.
+
+        The input chart follows ``chart_coords``; a zero denominator or a
+        non-finite quotient gives ∞, and 0/0 raises ``MapError``.
+        """
+        chart, t = chart_coords(z)
+        a, b = self._horner[chart]
+        n = 0j
+        for c in a:
+            n = n * t + c
+        d = 0j
+        for c in b:
+            d = d * t + c
         if d == 0:
             if n == 0:
                 raise MapError("0/0 at evaluation: fraction not reduced")
-            return SpherePoint.infinity()
+            return None
         val = n / d
-        if not np.isfinite(val):
-            return SpherePoint.infinity()
-        return SpherePoint(val)
+        return val if cmath.isfinite(val) else None
+
+    def evaluate(self, z):
+        """f(z) as a SpherePoint, computed in the stable chart (see ``step``)."""
+        return SpherePoint(self.step(_as_point(z).value))
 
     def __call__(self, z):
         return self.evaluate(z)

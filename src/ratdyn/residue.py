@@ -45,7 +45,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .kernel import Polynomial
 from .parabolic import ParabolicInvariants, tangency_and_residu
@@ -193,6 +192,8 @@ def _polar_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
 def _qmc_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
                             budget=QUAD_BUDGET):
     """Seeded quasi-Monte-Carlo fallback on the same annulus."""
+    from scipy.stats import qmc  # imported here: only --qmc needs it, and it is slow to load
+
     n = min(budget, 2**17)
     sob = qmc.Sobol(2, scramble=True, seed=_seed())
     u = sob.random(n)

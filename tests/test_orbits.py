@@ -74,6 +74,23 @@ class TestClassification:
         assert t.confidence == "low"
         assert t.budget_used == 50_000
 
+    def test_wild_last_point_is_the_last_iterate(self):
+        f, _, tails, _ = pipeline("z^2 + c", {"c": C_G}, max_period=1, budget=5000)
+        t = tail_of(tails, 0.0)
+        assert t.classification == KIND_WILD
+        last = f.orbit(0.0, 5000)[-1]
+        assert t.final_stats["last_chart"] == "z"
+        assert t.final_stats["last_point"] == [last.value.real, last.value.imag]
+
+    def test_critical_cycle_through_infinity_merges(self):
+        # 0 -> -1 -> inf -> 0: both critical points lie on one 3-cycle
+        _, _, tails, _ = pipeline("1/(z^2-1)", max_period=3)
+        assert len(tails) == 1
+        t = tails[0]
+        assert t.classification == KIND_BOUNDED
+        assert t.multiplicity == 2
+        assert t.final_stats == {"preperiod": 0, "loop": 3}
+
     def test_pcf_tails_merge(self):
         _, _, tails, split = pipeline("(z^2+1)^2 / (4*z^3 - 4*z)")
         assert len(tails) == 1
@@ -130,3 +147,14 @@ class TestTranscript:
         assert len(rows) == 5
         assert rows[0][3] == "w"  # |z| > 2 starts in the inverted chart
         assert rows[0][0] == 0 and isinstance(rows[1][1], float)
+
+    def test_rows_through_infinity(self):
+        f = parse_map("1/(z^2-1)")
+        rows = orbit_transcript_rows(f, 1.0, 4)
+        assert rows == [
+            (0, 1.0, 0.0, "z"),
+            (1, 0.0, 0.0, "w"),
+            (2, 0.0, 0.0, "z"),
+            (3, -1.0, 0.0, "z"),
+            (4, 0.0, 0.0, "w"),
+        ]

@@ -60,6 +60,24 @@ class TestParseAndEvaluate:
             direct = (z**2 - 1) / (z**2 + 1)
             assert abs(f.evaluate(z).value - direct) < 1e-12
 
+    @given(z=finite_complex(6.0))
+    def test_step_matches_polynomial_evaluation(self, z):
+        # reference: the chart pair evaluated by Polynomial (numpy Horner),
+        # which rounds differently from the Python complex Horner of step
+        f = parse_map("(z^3 + (0.3+0.2i)*z - 1)/(z^2 + 0.7i)")
+        chart, t = SpherePoint(z).chart_coords()
+        a, b = f._chart_pair(chart)
+        ref = a(t) / b(t)
+        val = f.step(z)
+        assert val is not None
+        assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_step_raw_infinity_and_poles(self):
+        f = parse_map("1/(z^2-1)")
+        assert f.step(1.0 + 0j) is None
+        assert f.step(None) == 0
+        assert f.step(0j) == -1
+
     def test_reduction_of_common_factor(self):
         # (z^2 - 1)/(z - 1) reduces to z + 1 (degree 1)
         f = RationalMap(Polynomial([-1, 0, 1]), Polynomial([-1, 1]))

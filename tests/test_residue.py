@@ -1,8 +1,13 @@
 """Numerical dynamical residues: quadrature, extrapolation, reliability flags."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ratdyn
 from ratdyn.ratmap import parse_map
 from ratdyn.residue import (
     FormDensity,
@@ -72,6 +77,17 @@ class TestLinearizableResidue:
         mu = FormDensity.parse("1/z")
         val = residue_for_region(f, mu, "disc", 0.1, use_qmc=True)
         assert abs(val - LOG4) < 0.05 * LOG4
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is slow to import and only the QMC fallback needs it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ratdyn.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ratdyn; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestBudgetAndFlags:

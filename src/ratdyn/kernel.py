@@ -126,11 +126,7 @@ class Polynomial:
         return Polynomial(self.coeffs[1:] * k)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            out = out * z + c
-        return out if out.ndim else complex(out)
+        return horner(self.coeffs, z)
 
     def compose(self, other):
         """Polynomial composition self(other(z))."""
@@ -170,6 +166,25 @@ class Polynomial:
         while k > 0 and abs(c[k]) <= thr:
             k -= 1
         return Polynomial(c[: k + 1])
+
+
+def horner(coeffs, z):
+    """Value at z (scalar or array) of the polynomial with ascending coefficients."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out if out.ndim else complex(out)
+
+
+def horner_with_derivative(coeffs, z):
+    """(p(z), p'(z)) for a complex array z, in one pass over the ascending coefficients."""
+    val = np.full(z.shape, coeffs[-1], dtype=complex)
+    der = np.zeros(z.shape, dtype=complex)
+    for c in coeffs[-2::-1]:
+        der = der * z + val
+        val = val * z + c
+    return val, der
 
 
 def _as_poly(x):

@@ -44,6 +44,7 @@ from .ratmap import (
     _as_point,
     chart_coords,
     distance,
+    local_coord,
     snap_key,
 )
 
@@ -204,7 +205,7 @@ class _OrbitTracker:
             seen[key] = n
             # parabolic petal detector
             for i, inv, (c0, t0) in self.petals:
-                u = _local(z, c0, t0)
+                u = local_coord(z, c0, t0)
                 if u is not None and abs(u) < 0.4:
                     x = inv.normal_series(u)
                     ax = abs(x)
@@ -246,15 +247,6 @@ class _OrbitTracker:
             if c.contains(pt):
                 return f"C{i}"
         return ""
-
-
-def _local(z, c0, t0):
-    """Raw z in the chart c0 of a base point with coordinate t0, minus t0 (None if undefined)."""
-    if z is None:
-        return -t0 if c0 == "w" else None
-    if c0 == "z":
-        return z - t0
-    return 1.0 / z - t0 if z != 0 else None
 
 
 def _in_attracting_sector(x, m, slack=1.02):

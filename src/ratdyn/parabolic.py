@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import SeriesError, TruncatedSeries
-from .ratmap import RationalMap, SpherePoint, _as_point
+from .ratmap import RationalMap, SpherePoint, _as_point, local_coord
 
 UNITY_TOL = 1e-8
 UNITY_HORIZON = 64
@@ -288,18 +288,6 @@ def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
     )
 
 
-def _local_coord(z, z0):
-    """Local coordinate of z in the chart z0 selects, or None on chart mismatch."""
-    cz, t = z.chart_coords()
-    c0, t0 = z0.chart_coords()
-    if cz != c0:
-        # re-express z in z0's chart when possible
-        if z.is_infinity:
-            return None
-        t = z.value if c0 == "z" else 1.0 / z.value
-    return t - t0
-
-
 def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0, n_iter=20):
     """Approximate incoming Fatou coordinate s(z) with s(f^{pr}(z)) = s(z) + 1.
 
@@ -310,10 +298,11 @@ def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0,
     """
     m = inv.e_loc
     zz = _as_point(z)
+    c0, t0 = inv.z0.chart_coords()
     steps = inv.p * inv.r
     prev = None
     for n in range(n_iter + 1):
-        u = _local_coord(zz, inv.z0)
+        u = local_coord(zz.value, c0, t0)
         if u is None or abs(u) > 0.8:
             raise ParabolicError("point escaped the parabolic chart during iteration")
         x = inv.normal_series(u)

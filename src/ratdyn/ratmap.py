@@ -60,6 +60,15 @@ def distance(a, b):
     return d
 
 
+def local_coord(z, c0, t0):
+    """Raw z in the chart c0 of a base point with coordinate t0, minus t0 (None if undefined)."""
+    if z is None:
+        return -t0 if c0 == "w" else None
+    if c0 == "z":
+        return z - t0
+    return 1.0 / z - t0 if z != 0 else None
+
+
 class SpherePoint:
     """A point of the sphere: a finite complex value or the point at infinity."""
 

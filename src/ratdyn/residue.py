@@ -29,14 +29,16 @@ The residue itself is the limit over shrinking regions; it is estimated
 by linear (Richardson-style) extrapolation along the parameter trace.
 
 Reference values: for a density built from a Laurent coefficient W with
-a simple pole of residue rho at a parabolic fixed point, both region
-families converge to 2 Re(rho), independently of the petal count.  The
+a simple pole of residue rho at a parabolic fixed point, the FatouBox
+family converges to 2 Re(rho), independently of the petal count.  The
 factor traces back to the same multivaluedness discussed above — the
 translation mismatch between V and f(V) is concentrated in a strip of
 s0-width 1 and height 2 pi Re(rho) per fundamental cut period, and the
 (1/pi) normalization turns that area into 2 Re(rho).  The value was
-cross-checked for one- and two-petal maps and against the independent
-disc family.
+checked for one- and two-petal maps.  The disc family is no cross-check
+at a parabolic point: its trace oscillates and the estimate comes back
+flagged unreliable (z + z^2 with W = (1+z)/z^2 gives 2.03 +- 0.11, and
+z + z^3 with W = (1+1.5z^2)/z^3 gives 185.75 +- 1.0e3).
 """
 
 from __future__ import annotations
@@ -46,13 +48,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import Polynomial
-from .parabolic import ParabolicInvariants, tangency_and_residu
+from .kernel import Polynomial, horner_with_derivative
+from .parabolic import ParabolicInvariants, _model_coordinate, tangency_and_residu
 from .parser import ExprParser
 from .ratmap import RationalMap, SpherePoint, _as_point, _FractionField
 
 QUAD_BUDGET = 1_000_000
 DEFAULT_SEED = 0
+# points per indicator evaluation: keeps the Newton temporaries cache-sized
+_BLOCK = 1 << 15
 
 
 def _seed():
@@ -122,6 +126,15 @@ class ResidueEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _blocked_indicator(indicator_diff, z):
+    """indicator_diff over an array z of any shape, evaluated _BLOCK points at a time."""
+    flat = z.reshape(-1)
+    out = np.empty(flat.size, dtype=int)
+    for lo in range(0, flat.size, _BLOCK):
+        out[lo:lo + _BLOCK] = indicator_diff(flat[lo:lo + _BLOCK])
+    return out.reshape(z.shape)
+
+
 def _polar_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
                               n_r=200, n_th=256, refine=16, budget=QUAD_BUDGET):
     """(integral, converged) of indicator_diff(z) * density(z) over an annulus.
@@ -140,12 +153,12 @@ def _polar_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
     th_edges = np.arange(n_th + 1) * 2 * np.pi / n_th
     dth = 2 * np.pi / n_th
     corner_z = center + edges[:, None] * np.exp(1j * th_edges[None, :])
-    d_corner = indicator_diff(corner_z.reshape(-1)).reshape(corner_z.shape)
+    d_corner = _blocked_indicator(indicator_diff, corner_z)
     r_mid = np.sqrt(edges[:-1] * edges[1:])
     dr = np.diff(edges)
     th_mid = th_edges[:-1] + 0.5 * dth
     zm = center + r_mid[:, None] * np.exp(1j * th_mid[None, :])
-    dm = indicator_diff(zm.reshape(-1)).reshape(zm.shape)
+    dm = _blocked_indicator(indicator_diff, zm)
     evals = corner_z.size + zm.size
     plain = (
         (d_corner[:-1, :-1] == dm)
@@ -177,7 +190,7 @@ def _polar_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
             sub_dth = dth / refine
             # (n_cross, refine_r, refine_th)
             zz = center + sub_r[:, :, None] * np.exp(1j * sub_th[:, None, :])
-            dd = indicator_diff(zz.reshape(-1)).reshape(zz.shape)
+            dd = _blocked_indicator(indicator_diff, zz)
             ww = (sub_r * sub_dr)[:, :, None] * sub_dth
             total += float(
                 np.sum(density(zz.reshape(-1)).reshape(zz.shape) * dd * ww)
@@ -203,7 +216,7 @@ def _qmc_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
     th = 2 * np.pi * u[:, 1]
     z = center + r * np.exp(1j * th)
     jac = r * r * (np.log(r_hi) - np.log(r_lo)) * 2 * np.pi
-    vals = density(z) * indicator_diff(z) * jac
+    vals = density(z) * _blocked_indicator(indicator_diff, z) * jac
     return float(np.mean(vals)), True
 
 
@@ -213,23 +226,35 @@ def _qmc_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
 
 
 def _local_inverse(f: RationalMap, z, seed, iters=30):
-    """Vectorized Newton solve of f(w) = z for w near the seed (local branch)."""
+    """Vectorized Newton solve of f(w) = z for w near the seed (local branch).
+
+    Each point stops once its own step is below 1e-15 (1 + |w|); only the
+    points still moving are iterated, so a few that never converge do not
+    keep the whole array going until the iteration cap.
+    """
     z = np.asarray(z, dtype=complex)
-    w = np.asarray(seed, dtype=complex).copy()
-    p, q = f.num, f.den
-    dp, dq = p.derivative(), q.derivative()
+    w = np.array(seed, dtype=complex).reshape(-1)
+    p, q = f.num.coeffs, f.den.coeffs
+    active = np.arange(w.size)
+    wa, za = w, z.reshape(-1)
     for _ in range(iters):
-        pw, qw = p(w), q(w)
-        val = pw / qw - z
-        der = (dp(w) * qw - pw * dq(w)) / (qw * qw)
+        pw, dpw = horner_with_derivative(p, wa)
+        qw, dqw = horner_with_derivative(q, wa)
+        val = pw / qw - za
+        der = (dpw * qw - pw * dqw) / (qw * qw)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = val / np.where(der == 0, 1e-300, der)
             mag = np.abs(step)
             step = np.where(mag > 0.5, 0.5 * step / np.where(mag == 0, 1, mag), step)
-        w = w - step
-        if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(w))):
-            break
-    return w
+        wa = wa - step
+        done = np.abs(step) < 1e-15 * (1.0 + np.abs(wa))
+        if done.any():
+            w[active[done]] = wa[done]
+            active, wa, za = active[~done], wa[~done], za[~done]
+            if not active.size:
+                break
+    w[active] = wa
+    return w.reshape(z.shape)
 
 
 def disc_residue(f: RationalMap, mu: FormDensity, center, eps, budget=QUAD_BUDGET,
@@ -292,8 +317,7 @@ class FatouBoxModel:
         u = np.asarray(z, dtype=complex) - self.z0
         x = self.xser(u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = -1.0 / (self.m * x**self.m)
-            return t - (self.nu / self.m) * np.log(t)
+            return _model_coordinate(x, self.m, self.nu)
 
     def in_region(self, z, R):
         s = self.s0(z)

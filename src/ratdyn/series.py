@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernel import horner
+
 
 class SeriesError(Exception):
     pass
@@ -160,11 +162,7 @@ class TruncatedSeries:
         return TruncatedSeries(h)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for ck in self.c[::-1]:
-            out = out * z + ck
-        return out if out.ndim else complex(out)
+        return horner(self.c, z)
 
     def valuation(self, tol=0.0):
         """Index of first coefficient with magnitude above tol (order+1 if none)."""

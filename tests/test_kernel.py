@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ratdyn.kernel import (
     Polynomial,
     ZeroPolynomialError,
+    horner_with_derivative,
     nullspace,
     poly_roots,
     rank_nullity,
@@ -54,6 +55,14 @@ class TestPolynomial:
         p = Polynomial([1, 0, 1])
         zs = np.array([0, 1j, 2.0])
         assert np.allclose(p(zs), [1, 0, 5])
+
+    def test_fused_value_and_derivative(self):
+        p = Polynomial([0.5 - 1j, 2, -3j, 1, 0.25])
+        zs = np.array([0, 1j, 2.0, -0.3 + 0.7j, 5 - 4j])
+        val, der = horner_with_derivative(p.coeffs, zs)
+        assert np.array_equal(val, p(zs))
+        dp = p.derivative()(zs)
+        assert np.all(np.abs(der - dp) <= 1e-13 * np.maximum(1.0, np.abs(dp)))
 
 
 class TestRoots:

@@ -13,7 +13,7 @@ from ratdyn.parabolic import (
     rotation_order,
     tangency_and_residu,
 )
-from ratdyn.ratmap import RationalMap, parse_map
+from ratdyn.ratmap import RationalMap, SpherePoint, parse_map
 
 from conftest import finite_complex
 
@@ -150,3 +150,11 @@ class TestFatouCoordinate:
         inv = tangency_and_residu(f, 0.0, 1, 1)
         with pytest.raises(ParabolicError):
             fatou_coordinate(f, inv, 0.1)  # repelling direction
+
+    def test_origin_against_point_in_w_chart(self):
+        # z = 0 has no coordinate in the w = 1/z chart of the parabolic point
+        # at infinity: a typed error, not a division by zero
+        f = parse_map("z + 1 + 1/z")
+        inv = tangency_and_residu(f, SpherePoint.infinity(), 1, 1)
+        with pytest.raises(ParabolicError):
+            fatou_coordinate(f, inv, 0.0)

@@ -10,6 +10,7 @@ from ratdyn.ratmap import (
     MapError,
     RationalMap,
     SpherePoint,
+    local_coord,
     parse_map,
 )
 
@@ -33,6 +34,13 @@ class TestSpherePoint:
         for pt in (SpherePoint(1 - 2j), SpherePoint.infinity()):
             again = SpherePoint.from_json(pt.to_json())
             assert again.close_to(pt)
+
+    def test_local_coord_across_charts(self):
+        assert local_coord(0j, "w", 0.1) is None  # 1/0 has no coordinate
+        assert local_coord(None, "z", 0.5) is None
+        assert local_coord(None, "w", 0.1) == -0.1
+        assert local_coord(4.0, "w", 0.1) == 0.25 - 0.1
+        assert local_coord(3.0, "z", 1.0) == 2.0
 
 
 class TestParseAndEvaluate:

@@ -9,9 +9,14 @@ import pytest
 
 import ratdyn
 from ratdyn.ratmap import parse_map
+from ratdyn.parabolic import tangency_and_residu
 from ratdyn.residue import (
+    _BLOCK,
+    FatouBoxModel,
     FormDensity,
     ResidueError,
+    _blocked_indicator,
+    _local_inverse,
     disc_residue,
     dynamical_residue,
     residue_for_region,
@@ -126,3 +131,55 @@ class TestParabolicResidue:
         est = dynamical_residue(f, mu, kind="fatou", params=[5, 6, 8],
                                 budget=2_000_000)
         assert abs(est.value) < 0.05
+
+
+class TestLocalInverse:
+    def grid(self, f):
+        # annulus about the parabolic point 0 of z + z^2, seeded as in FatouBox
+        r, th = np.meshgrid(np.geomspace(0.01, 0.3, 40), np.linspace(0, 2 * np.pi, 64))
+        z = (r * np.exp(1j * th)).reshape(-1)
+        return z, 2 * z - f.num(z) / f.den(z)
+
+    def test_points_converge_independently(self):
+        f = parse_map("z + z^2")
+        z, seed = self.grid(f)
+        # w + w^2 = -1 has no real root and Newton keeps a real seed real,
+        # so this point is still moving at the iteration cap
+        z = np.append(z, -1.0)
+        seed = np.append(seed, 0.3)
+        w = _local_inverse(f, z, seed)
+        assert abs(f.num(w[-1]) / f.den(w[-1]) + 1.0) > 1e-3
+        for i in range(len(z) - 1):
+            alone = _local_inverse(f, z[i:i + 1], seed[i:i + 1])
+            assert w[i] == alone[0]
+
+    def test_matches_reference_newton(self):
+        f = parse_map("z + z^2")
+        z, seed = self.grid(f)
+        p, q = f.num, f.den
+        dp, dq = p.derivative(), q.derivative()
+        ref = seed.copy()
+        for _ in range(30):
+            pw, qw = p(ref), q(ref)
+            step = (pw / qw - z) / ((dp(ref) * qw - pw * dq(ref)) / (qw * qw))
+            mag = np.abs(step)
+            with np.errstate(invalid="ignore"):
+                ref = ref - np.where(mag > 0.5, 0.5 * step / mag, step)
+        w = _local_inverse(f, z, seed)
+        assert np.all(np.abs(w - ref) <= 1e-14)
+
+    def test_blocked_indicator_matches_unblocked(self):
+        f = parse_map("z + z^2")
+        model = FatouBoxModel(f, tangency_and_residu(f, 0.0, 1, 1))
+        R = 5.0
+        r_lo, r_hi = model.boundary_radii(R)
+        n, k = 40, 32  # n * k * k points: more than one block
+        assert n * k * k > _BLOCK
+        r = np.geomspace(r_lo, r_hi, n * k).reshape(n, k, 1)
+        th = np.arange(k) * 2 * np.pi / k
+        zz = r * np.exp(1j * th)
+        blocked = _blocked_indicator(lambda z: model.indicator_diff(z, R), zz)
+        whole = model.indicator_diff(zz.reshape(-1), R).reshape(zz.shape)
+        assert blocked.shape == (n, k, k)
+        assert np.any(whole == 1) and np.any(whole == -1)
+        assert np.array_equal(blocked, whole)

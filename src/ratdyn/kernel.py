@@ -8,7 +8,6 @@ root-clustering radius 1e-6) so results are reproducible.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 ALGEBRAIC_TOL = 1e-9
 CLUSTER_TOL = 1e-6
@@ -254,9 +253,15 @@ def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL, max_iter=400):
         dpz = dq(z)
         mask = np.abs(dpz) > 1e-200
         z = np.where(mask, z - pz / np.where(mask, dpz, 1), z)
-    z = _collapse_multiple_roots(q, z)
+    if not np.all(np.isfinite(z)):
+        raise RootFindingError(
+            f"{int(np.sum(~np.isfinite(z)))} of {n} root iterates are not finite", best=z
+        )
+    z = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, scale, x, k))
 
     res = np.abs(q(z))
+    if not np.all(np.isfinite(res)):
+        raise RootFindingError("root residual is not finite", best=z)
     bound = tol * scale * np.maximum(1.0, np.abs(z)) ** n
     if np.any(res > bound):
         worst = float(np.max(res / np.maximum(bound, 1e-300)))
@@ -269,17 +274,51 @@ def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL, max_iter=400):
     return _cluster(roots, cluster_tol)
 
 
-def _collapse_multiple_roots(q, z, group_radius=1e-3, certify_tol=1e-10):
+def _shifted_taylor(q, scale, x, k):
+    """t_0 .. t_k of q(x + t), and zero levels 1e-10 scale max(1, |x|)^(deg - j)."""
+    t = q.shifted(x).coeffs[: k + 1]
+    return t, 1e-10 * scale * max(1.0, abs(x)) ** (q.degree - np.arange(len(t)))
+
+
+_PAIR_BLOCK = 1 << 16  # matrix entries per block of a row-blocked pairwise pass
+_RESOLVE_RATIO = 1e-2
+
+
+def _close_pairs(z, radius):
+    """Index pairs i < j with |z_i - z_j| <= radius * max(1, |z_i|), in row blocks."""
+    n = len(z)
+    scale = radius * np.maximum(1.0, np.abs(z))
+    rows = max(1, _PAIR_BLOCK // max(n, 1))
+    found = []
+    for s in range(0, n, rows):
+        near = np.abs(z[s : s + rows, None] - z[None, :]) <= scale[s : s + rows, None]
+        i, j = np.nonzero(near)
+        i = i + s
+        keep = j > i
+        found.extend(zip(i[keep].tolist(), j[keep].tolist()))
+    return found
+
+
+def collapse_multiple_roots(z, taylor, group_radius=1e-3):
     """Snap near-coincident iterates onto certified multiple roots.
 
     A root of multiplicity m can only be located to ~eps^(1/m) by direct
-    iteration, which defeats the fixed clustering radius.  Groups of
-    iterates within the coarse radius are tested against the hypothesis
-    of an m-fold root: the (m-1)-th derivative has a simple (hence
-    machine-precision) root there, and the polynomial residual at that
-    point certifies or rejects the collapse.  Genuinely distinct roots
-    closer than the coarse radius would fail certification unless they
-    are so close that the distinction is numerically meaningless.
+    iteration, which defeats the fixed clustering radius.  Iterates within
+    the coarse radius of each other form a group.  A member is a resolved
+    simple root, and keeps its place, when both its Newton step and the
+    uncertainty (zero level of t_0)/|t_1| of its position are below
+    _RESOLVE_RATIO times its distance to the rest of the group (a residual
+    that rounds to zero says nothing by itself).  The m unresolved members
+    are tested against the hypothesis of one m-fold root: the (m-1)-th
+    derivative has a simple (hence machine-precision) root there, and the
+    collapse is certified when every Taylor coefficient t_0 .. t_(m-1) at
+    that point is at or below its zero level.  When it is not, the member
+    farthest from the centroid is set aside and the (m-1)-fold hypothesis
+    is tried, down to two members; the members left over are tried again.
+
+    ``taylor(x, k)`` gives the Taylor coefficients t_0 .. t_k of the function
+    at x, up to a nonzero factor that may depend on x, and for each the
+    level at or below which it counts as zero, in the same units.
     """
     n = len(z)
     parent = list(range(n))
@@ -290,43 +329,66 @@ def _collapse_multiple_roots(q, z, group_radius=1e-3, certify_tol=1e-10):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(z[i] - z[j]) <= group_radius * max(1.0, abs(z[i])):
-                parent[find(i)] = find(j)
+    for i, j in _close_pairs(z, group_radius):
+        parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    scale = q.scale()
     out = z.copy()
     for members in groups.values():
-        m = len(members)
-        if m < 2:
+        if len(members) < 2:
             continue
-        center = np.mean(z[members])
-        dm = q
-        for _ in range(m - 1):
-            dm = dm.derivative()
-        ddm = dm.derivative()
-        zs = center
-        for _ in range(40):
-            val = dm(zs)
-            dval = ddm(zs)
-            if dval == 0:
+        pts = z[members]
+        gaps = np.abs(pts[:, None] - pts[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        pending = []
+        for i, zi, gap in zip(members, pts, gaps.min(axis=1)):
+            t, zero = taylor(zi, 1)
+            spread = max(abs(t[0]), zero[0])
+            if len(t) < 2 or not spread < _RESOLVE_RATIO * gap * abs(t[1]):
+                pending.append(i)
+        while len(pending) >= 2:
+            trial = list(pending)
+            while len(trial) >= 2:
+                zs = _certified_multiple_root(z[trial], taylor, group_radius)
+                if zs is not None:
+                    out[trial] = zs
+                    break
+                far = int(np.argmax(np.abs(z[trial] - np.mean(z[trial]))))
+                trial.pop(far)
+            if len(trial) < 2:
                 break
-            step = val / dval
-            zs = zs - step
-            if abs(step) <= 1e-16 * max(1.0, abs(zs)):
-                break
-        bound = certify_tol * scale * max(1.0, abs(zs)) ** q.degree
-        if abs(q(zs)) <= bound and abs(zs - center) <= group_radius * max(1.0, abs(center)):
-            for i in members:
-                out[i] = zs
+            pending = [i for i in pending if i not in trial]
     return out
 
 
+def _certified_multiple_root(pts, taylor, group_radius):
+    """The m-fold root the m iterates pts stand for, or None when it is not certified."""
+    m = len(pts)
+    center = complex(np.mean(pts))
+    zs = center
+    for _ in range(40):
+        t, _ = taylor(zs, m)
+        if len(t) <= m or t[m] == 0:
+            break
+        step = t[m - 1] / (m * t[m])
+        zs = zs - step
+        if abs(step) <= 1e-16 * max(1.0, abs(zs)):
+            break
+    if abs(zs - center) > group_radius * max(1.0, abs(center)):
+        return None
+    t, zero = taylor(zs, m - 1)
+    return zs if np.all(np.abs(t) <= zero[: len(t)]) else None
+
+
 def _cluster(roots, cluster_tol):
-    """Merge roots within the clustering radius; multiplicities add."""
+    """Merge roots within the clustering radius; multiplicities add.
+
+    Only roots with another root within four radii take part in the
+    centroid-growing scan; every other root is a cluster of its own.
+    """
+    z = np.array([zi for zi, _ in roots], dtype=complex)
+    mergeable = sorted({i for pair in _close_pairs(z, 4 * cluster_tol) for i in pair})
     out = []
     used = [False] * len(roots)
     for i, (zi, mi) in enumerate(roots):
@@ -334,11 +396,12 @@ def _cluster(roots, cluster_tol):
             continue
         members = [(zi, mi)]
         used[i] = True
-        changed = True
+        changed = bool(mergeable)
         while changed:
             changed = False
             cz = sum(m * z for z, m in members) / sum(m for _, m in members)
-            for j, (zj, mj) in enumerate(roots):
+            for j in mergeable:
+                zj, mj = roots[j]
                 if used[j]:
                     continue
                 radius = cluster_tol * max(1.0, abs(cz))
@@ -365,7 +428,7 @@ def rank_nullity(mat, tol=ALGEBRAIC_TOL):
     rows, cols = m.shape
     if rows == 0 or cols == 0 or not np.any(m):
         return 0, cols, rows
-    s = sla.svdvals(m)
+    s = np.linalg.svd(m, compute_uv=False)
     rank = int(np.sum(s > tol * s[0]))
     return rank, cols - rank, rows - rank
 
@@ -376,6 +439,6 @@ def nullspace(mat, tol=ALGEBRAIC_TOL):
     rows, cols = m.shape
     if rows == 0 or cols == 0 or not np.any(m):
         return np.eye(cols, dtype=complex)
-    u, s, vh = sla.svd(m)
+    u, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > tol * s[0]))
     return vh[rank:].conj().T

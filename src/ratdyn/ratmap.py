@@ -186,7 +186,11 @@ class RationalMap:
             "z": (_horner(num), _horner(den)),
             "w": (_horner(self._rnum), _horner(self._rden)),
         }
-        self._wron = num.derivative() * den - num * den.derivative()
+        # Wronskian A'B - AB' of (A, B) in each chart: f' is W/B^2 there
+        self._wron = {}
+        for chart in ("z", "w"):
+            a, b = self._chart_pair(chart)
+            self._wron[chart] = a.derivative() * b - a * b.derivative()
 
     def __repr__(self):
         return f"RationalMap(num={self.num!r}, den={self.den!r})"
@@ -236,7 +240,7 @@ class RationalMap:
         z = _as_point(z)
         chart, t = z.chart_coords()
         a, b = self._chart_pair(chart)
-        w = a.derivative() * b - a * b.derivative()
+        w = self._wron[chart]
         fz = self.evaluate(z)
         out_chart, _ = fz.chart_coords()
         # derivative of A/B is W/B^2; of the flipped chart B/A it is -W/A^2
@@ -279,7 +283,7 @@ class RationalMap:
         """Ramification divisor: critical points with multiplicity; degree 2d-2."""
         entries = []
         d = self.degree
-        w = self._wron
+        w = self._wron["z"]
         if w.is_zero:
             raise MapError("degenerate map: vanishing Wronskian")
         if w.degree >= 1 or w.coeffs[0] == 0:

@@ -1,5 +1,8 @@
 """Polynomial arithmetic, root finding, and rank/nullspace extraction."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from ratdyn.kernel import (
     Polynomial,
+    RootFindingError,
     ZeroPolynomialError,
     horner_with_derivative,
     nullspace,
@@ -81,10 +85,25 @@ class TestRoots:
         found = {round(z.real, 6): m for z, m in poly_roots(p)}
         assert found == {1.0: 2, -2.0: 1}
 
+    def test_double_root_keeps_close_simple_root(self):
+        # (z - 1)^2 (z - 1 - 3e-4): a triple root at 1 + 1e-4 is not certified
+        p = Polynomial([-1, 1]) ** 2 * Polynomial([-(1 + 3e-4), 1])
+        (z1, m1), (z2, m2) = poly_roots(p)
+        assert (m1, m2) == (2, 1)
+        assert abs(z1 - 1) < 1e-9 and abs(z2 - (1 + 3e-4)) < 1e-7
+
     def test_triple_root(self):
         p = Polynomial([-1, 1]) ** 3
         [(z, m)] = poly_roots(p)
         assert m == 3 and abs(z - 1) < 1e-5
+
+    def test_nonfinite_iterates_raise(self):
+        # f^6(z) - z of z^2 - 1 in monomials (degree 64): the iteration overflows
+        from ratdyn.ratmap import parse_map
+
+        a, b = parse_map("z^2 - 1").compose_self_homogeneous(6)
+        with pytest.raises(RootFindingError, match="not finite"):
+            poly_roots(a - Polynomial([0, 1]) * b)
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomialError):
@@ -137,3 +156,13 @@ class TestLinearAlgebra:
         assert np.max(np.abs(mat @ ns)) < 1e-8
         gram = ns.conj().T @ ns
         assert np.allclose(gram, np.eye(ns.shape[1]), atol=1e-10)
+
+
+def test_import_loads_no_scipy():
+    # numpy's LAPACK SVD serves rank_nullity and nullspace; scipy is slow to import
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ratdyn; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -17,11 +17,11 @@ from .ratmap import (
 )
 from .parabolic import ParabolicInvariants, rotation_order, tangency_and_residu
 from .cycles import Annotation, Cycle, analyze_cycles, find_cycles
-from .orbits import classify_tails, delta_marks, epsilon_marks
+from .orbits import classify_tails
 from .residue import FormDensity, ResidueEstimate, dynamical_residue
 from .extjet import JetSpec, global_e1, jet_e1
 from .count import CountReport, evaluate_counts
-from .corpus import corpus_run, load_corpus
+from .corpus import corpus_run, load_corpus, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,6 @@ __all__ = [
     "analyze_cycles",
     "find_cycles",
     "classify_tails",
-    "epsilon_marks",
-    "delta_marks",
     "FormDensity",
     "ResidueEstimate",
     "dynamical_residue",
@@ -54,5 +52,6 @@ __all__ = [
     "evaluate_counts",
     "corpus_run",
     "load_corpus",
+    "run_pipeline",
     "__version__",
 ]

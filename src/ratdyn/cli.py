@@ -19,18 +19,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .corpus import corpus_run, load_corpus
-from .count import CountError, evaluate_counts
+from .corpus import _bind_params, corpus_run, load_corpus, run_pipeline
+from .count import CountError
 from .cycles import CycleError, analyze_cycles, load_annotations
 from .extjet import FULL_JETS, TWO_JETS, JetSpec, jet_e1
-from .orbits import (
-    DEFAULT_BUDGET,
-    classify_tails,
-    delta_marks,
-    epsilon_marks,
-    orbit_transcript_rows,
-    regions_from_annotations,
-)
+from .orbits import DEFAULT_BUDGET, orbit_transcript_rows
 from .parabolic import ParabolicError
 from .parser import ParseError
 from .ratmap import MapError, RationalMap, SpherePoint, parse_map
@@ -70,20 +63,24 @@ def _parse_point(text):
     return SpherePoint(_parse_complex(text))
 
 
-def _load_map(args):
+def _params(args):
+    """Bindings of the repeatable --param NAME=VALUE."""
     params = {}
     for item in args.param or ():
         if "=" not in item:
             raise ValueError(f"--param expects name=value, got {item!r}")
         name, val = item.split("=", 1)
         params[name.strip()] = _parse_complex(val)
+    return params
+
+
+def _load_map(args):
+    params = _params(args)
     if args.map_file:
         with open(args.map_file) as fh:
             obj = json.load(fh)
         if "map" in obj:
-            for k, v in obj.get("params", {}).items():
-                params.setdefault(k, complex(v[0], v[1]))
-            return parse_map(obj["map"], params)
+            return parse_map(obj["map"], {**_bind_params(obj.get("params")), **params})
         return RationalMap.from_json(obj)
     if args.map:
         return parse_map(args.map, params)
@@ -185,11 +182,7 @@ def _cmd_parabolic(args):
 
 def _cmd_residue(args):
     f = _load_map(args)
-    params = {}
-    for item in args.param or ():
-        name, val = item.split("=", 1)
-        params[name.strip()] = _parse_complex(val)
-    mu = FormDensity.parse(args.form, m=args.form_order, params=params)
+    mu = FormDensity.parse(args.form, m=args.form_order, params=_params(args))
     family_params = (
         [float(x) for x in args.family_param] if args.family_param else None
     )
@@ -211,15 +204,12 @@ def _cmd_residue(args):
 
 def _cmd_tails(args):
     f = _load_map(args)
-    anns = _load_annotations(args)
-    cycles = analyze_cycles(f, args.max_period, anns)
-    tails, split = classify_tails(f, cycles, anns, budget=args.budget)
-    regions = regions_from_annotations(cycles, anns)
+    run = run_pipeline(f, _load_annotations(args), args.max_period, args.budget)
     out = {
-        "tails": [t.to_json() for t in tails],
-        "split": split.to_json(),
-        "epsilons": epsilon_marks(split, regions),
-        "deltas": delta_marks(cycles, split),
+        "tails": [t.to_json() for t in run.tails],
+        "split": run.split.to_json(),
+        "epsilons": run.epsilons,
+        "deltas": run.deltas,
     }
     if args.orbit_csv and args.orbit_from:
         rows = orbit_transcript_rows(
@@ -262,14 +252,10 @@ def _cmd_ext(args):
 
 
 def _cmd_count(args):
-    f = _load_map(args)
-    anns = _load_annotations(args)
-    cycles = analyze_cycles(f, args.max_period, anns)
-    tails, split = classify_tails(f, cycles, anns, budget=args.budget)
-    regions = regions_from_annotations(cycles, anns)
-    eps = epsilon_marks(split, regions)
-    deltas = delta_marks(cycles, split)
-    rep = evaluate_counts(f, cycles, tails, split, eps, deltas, anns)
+    run = run_pipeline(_load_map(args), _load_annotations(args), args.max_period, args.budget)
+    if run.count_error is not None:
+        raise run.count_error
+    rep = run.counts
     if args.table:
         print(rep.table())
     else:

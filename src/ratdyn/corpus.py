@@ -15,18 +15,20 @@ runs produce identical reports.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from importlib import resources
 
-from .count import CountError, evaluate_counts
+from .count import CountError, CountReport, evaluate_counts
 from .cycles import analyze_cycles, load_annotations
 from .orbits import (
     DEFAULT_BUDGET,
+    RamSplit,
     classify_tails,
     delta_marks,
     epsilon_marks,
     regions_from_annotations,
 )
-from .ratmap import parse_map
+from .ratmap import RationalMap, parse_map
 
 FLOAT_TOL = 1e-9
 
@@ -46,38 +48,67 @@ def _bind_params(params):
     return {k: complex(v[0], v[1]) for k, v in (params or {}).items()}
 
 
+@dataclass
+class PipelineReport:
+    """What each stage of ``run_pipeline`` produced.
+
+    ``counts`` is None and ``count_error`` holds the ``CountError`` when the
+    count audit rejects the map (degree 1); the earlier stages still ran.
+    """
+
+    f: RationalMap
+    cycles: list
+    tails: list
+    split: RamSplit
+    epsilons: dict
+    deltas: dict
+    counts: CountReport | None = None
+    count_error: CountError | None = None
+
+    def to_json(self):
+        out = {
+            "degree": self.f.degree,
+            "cycles": [c.to_json() for c in self.cycles],
+            "parabolic": {
+                f"C{i}": c.parabolic.to_json()
+                for i, c in enumerate(self.cycles)
+                if c.parabolic is not None
+            },
+            "tails": [t.to_json() for t in self.tails],
+            "split": self.split.to_json(),
+            "epsilons": self.epsilons,
+            "deltas": self.deltas,
+            "count_error": self.count_error is not None,
+            "counts": None if self.counts is None else self.counts.to_json(),
+        }
+        if self.count_error is not None:
+            out["count_error_message"] = str(self.count_error)
+        return out
+
+
+def run_pipeline(f, annotations=(), max_period=2, budget=DEFAULT_BUDGET):
+    """Cycles, critical tails, epsilon/delta marks and the count audit of f."""
+    cycles = analyze_cycles(f, max_period, annotations)
+    tails, split = classify_tails(f, cycles, annotations, budget=budget)
+    regions = regions_from_annotations(cycles, annotations)
+    report = PipelineReport(
+        f, cycles, tails, split, epsilon_marks(split, regions), delta_marks(cycles, split)
+    )
+    try:
+        report.counts = evaluate_counts(
+            f, cycles, tails, split, report.epsilons, report.deltas, annotations
+        )
+    except CountError as exc:
+        report.count_error = exc
+    return report
+
+
 def run_entry(entry, budget=DEFAULT_BUDGET):
     """Run the full pipeline on one entry and return the report dict."""
     f = parse_map(entry["map"], _bind_params(entry.get("params")))
     anns = load_annotations(entry.get("annotations", []))
-    cycles = analyze_cycles(f, int(entry.get("max_period", 2)), anns)
-    tails, split = classify_tails(f, cycles, anns, budget=budget)
-    regions = regions_from_annotations(cycles, anns)
-    eps = epsilon_marks(split, regions)
-    deltas = delta_marks(cycles, split)
-    report = {
-        "name": entry["name"],
-        "degree": f.degree,
-        "cycles": [c.to_json() for c in cycles],
-        "parabolic": {
-            f"C{i}": c.parabolic.to_json()
-            for i, c in enumerate(cycles)
-            if c.parabolic is not None
-        },
-        "tails": [t.to_json() for t in tails],
-        "split": split.to_json(),
-        "epsilons": eps,
-        "deltas": deltas,
-        "count_error": False,
-        "counts": None,
-    }
-    try:
-        rep = evaluate_counts(f, cycles, tails, split, eps, deltas, anns)
-        report["counts"] = rep.to_json()
-    except CountError as exc:
-        report["count_error"] = True
-        report["count_error_message"] = str(exc)
-    return report
+    report = run_pipeline(f, anns, int(entry.get("max_period", 2)), budget)
+    return {"name": entry["name"], **report.to_json()}
 
 
 def _resolve(report, path):

@@ -32,7 +32,7 @@ rotation number) decides Siegel vs Cremer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,13 @@ from .kernel import (
     CLUSTER_TOL,
     _PAIR_BLOCK,
     _cluster,
+    aberth,
     collapse_multiple_roots,
 )
 from .parabolic import (
     ParabolicInvariants,
     rotation_order,
     tangency_and_residu,
-    UNITY_HORIZON,
     UNITY_TOL,
 )
 from .ratmap import RationalMap, SpherePoint, SNAP_TOL, _as_point, distance
@@ -164,7 +164,6 @@ class Cycle:
 # terms it is the difference of (up to its order), counts as zero: when reading
 # the order of Phi at infinity and when certifying a multiple zero.
 _ORDER_TOL = 1e-12
-_MAX_ITER = 400
 _PULLBACK_TARGET = 0.3 + 0.2j  # a generic point whose preimages seed Aberth
 
 
@@ -320,39 +319,6 @@ class _Pullback:
         return v + 1e-6 * np.maximum(1.0, np.abs(v)) * np.exp(2j * np.pi * rng.random(n))
 
 
-def _aberth(form, z):
-    """Aberth iteration from the starting points z on the finite zeros of Phi.
-
-    Each iterate stops on its own step; the pairwise sum runs in row blocks,
-    so memory stays O(n * block).
-    """
-    z = z.copy()
-    n = z.size
-    active = np.arange(n)
-    rows = max(1, _PAIR_BLOCK // n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_MAX_ITER):
-            za = z[active]
-            phi = form.jet(za, 2)
-            der = np.where(phi[1] == 0, 1e-300, phi[1])
-            w = phi[0] / der
-            s = np.empty(active.size, dtype=complex)
-            for b in range(0, active.size, rows):
-                idx = active[b : b + rows]
-                diff = z[idx, None] - z[None, :]
-                diff[np.arange(idx.size), idx] = np.inf
-                s[b : b + rows] = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - w * s
-            denom = np.where(np.abs(denom) < 1e-14, 1e-14, denom)
-            step = w / denom
-            z[active] = za - step
-            moving = np.abs(step) > 1e-15 * (1.0 + np.abs(za))
-            active = active[moving]
-            if not active.size:
-                break
-    return z
-
-
 def _fixed_points(f: RationalMap, p, pullback=None):
     """(finite fixed points of f^p, their multiplicities, order m of infinity).
 
@@ -369,7 +335,7 @@ def _fixed_points(f: RationalMap, p, pullback=None):
     n = form.degree - m_inf
     if n == 0:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=int), m_inf
-    z = _aberth(form, (pullback or _Pullback(f)).seeds(p, n))
+    z, _ = aberth(lambda x: form.jet(x, 2), (pullback or _Pullback(f)).seeds(p, n))
     if not np.all(np.isfinite(z)):
         raise CycleError(f"periodic-point iteration for f^{p} left the plane")
     z = collapse_multiple_roots(z, form.taylor)
@@ -439,9 +405,9 @@ def _divisors(p):
     return [q for q in range(1, p) if p % q == 0]
 
 
-def find_cycles(f: RationalMap, max_period, tol=SNAP_TOL):
+def find_cycles(f: RationalMap, max_period):
     """All cycles of exact period <= max_period, sorted deterministically."""
-    match_tol = max(tol, 1e-6)
+    match_tol = max(SNAP_TOL, 1e-6)
     levels = {}  # period q -> _RawPoints of the fixed points of f^q
     cycles = []
     pullback = _Pullback(f)
@@ -451,7 +417,7 @@ def find_cycles(f: RationalMap, max_period, tol=SNAP_TOL):
         levels[p] = _RawPoints(values)
         seen = np.zeros(len(values), dtype=bool)
         for q in _divisors(p):
-            seen |= levels[q].near(levels[p], tol)
+            seen |= levels[q].near(levels[p], SNAP_TOL)
         exact = _RawPoints(v for v, old in zip(values, seen) if not old)
         used = np.zeros(len(exact.values), dtype=bool)
         for i, start in enumerate(exact.values):
@@ -490,21 +456,20 @@ def multiplier(f: RationalMap, orbit_pts):
     return complex(lam)
 
 
-def classify(cycle: Cycle, f: RationalMap, annotations=(), K=UNITY_HORIZON,
-             tol=UNITY_TOL):
+def classify(cycle: Cycle, f: RationalMap, annotations=()):
     """Fill in cycle.cls (and parabolic invariants when applicable)."""
     lam = cycle.multiplier
     mod = abs(lam)
-    if mod <= tol:
+    if mod <= UNITY_TOL:
         cycle.cls = CLASS_SUPER
         return cycle
-    if mod < 1.0 - tol:
+    if mod < 1.0 - UNITY_TOL:
         cycle.cls = CLASS_ATTRACTING
         return cycle
-    if mod > 1.0 + tol:
+    if mod > 1.0 + UNITY_TOL:
         cycle.cls = CLASS_REPELLING
         return cycle
-    r = rotation_order(lam, K, tol)
+    r = rotation_order(lam)
     if r is not None:
         z0 = cycle.representative()
         inv = tangency_and_residu(f, z0, cycle.period, r)
@@ -536,8 +501,7 @@ def _annotation_hits(ann: Annotation, cycle: Cycle):
     return any(ann.matches_point(pt) for pt in cycle.points)
 
 
-def analyze_cycles(f: RationalMap, max_period, annotations=(), K=UNITY_HORIZON,
-                   tol=UNITY_TOL):
+def analyze_cycles(f: RationalMap, max_period, annotations=()):
     """find_cycles + classify, resolving index-anchored annotations by position."""
     cycles = find_cycles(f, max_period)
     for i, c in enumerate(cycles):
@@ -546,5 +510,5 @@ def analyze_cycles(f: RationalMap, max_period, annotations=(), K=UNITY_HORIZON,
             for a in annotations
             if not isinstance(a.cycle, int) or a.cycle == i
         ]
-        classify(c, f, resolved, K, tol)
+        classify(c, f, resolved)
     return cycles

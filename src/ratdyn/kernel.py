@@ -192,7 +192,7 @@ def _as_poly(x):
     return Polynomial([x])
 
 
-def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL, max_iter=400):
+def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL):
     """All roots of p with multiplicity, by Aberth-Ehrlich simultaneous iteration.
 
     Returns a list of (root, multiplicity) pairs.  Each returned root r
@@ -226,40 +226,20 @@ def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL, max_iter=400):
     r0 = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
     rng = np.random.default_rng(12345)
     ang = 2 * np.pi * (np.arange(n) + 0.25) / n + 0.05 * rng.standard_normal(n)
-    z = 0.6 * r0 * np.exp(1j * ang)
-
-    ok = False
-    for _ in range(max_iter):
-        pz = q(z)
-        if np.max(np.abs(pz)) <= 1e-13 * scale:
-            ok = True
-            break
-        dpz = dq(z)
-        dpz = np.where(dpz == 0, 1e-300, dpz)
-        w = pz / dpz
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-14, 1e-14, denom)
-        step = w / denom
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(z))):
-            ok = True
-            break
-    # Newton polish (helps simple roots; stalls harmlessly on clusters)
-    for _ in range(3):
-        pz = q(z)
-        dpz = dq(z)
-        mask = np.abs(dpz) > 1e-200
-        z = np.where(mask, z - pz / np.where(mask, dpz, 1), z)
-    if not np.all(np.isfinite(z)):
-        raise RootFindingError(
-            f"{int(np.sum(~np.isfinite(z)))} of {n} root iterates are not finite", best=z
-        )
-    z = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, scale, x, k))
-
-    res = np.abs(q(z))
+    z, ok = aberth(lambda x: horner_with_derivative(c, x), 0.6 * r0 * np.exp(1j * ang))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Newton polish (helps simple roots; stalls harmlessly on clusters)
+        for _ in range(3):
+            pz = q(z)
+            dpz = dq(z)
+            mask = np.abs(dpz) > 1e-200
+            z = np.where(mask, z - pz / np.where(mask, dpz, 1), z)
+        if not np.all(np.isfinite(z)):
+            raise RootFindingError(
+                f"{int(np.sum(~np.isfinite(z)))} of {n} root iterates are not finite", best=z
+            )
+        z = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, scale, x, k))
+        res = np.abs(q(z))
     if not np.all(np.isfinite(res)):
         raise RootFindingError("root residual is not finite", best=z)
     bound = tol * scale * np.maximum(1.0, np.abs(z)) ** n
@@ -297,6 +277,44 @@ def _close_pairs(z, radius):
         keep = j > i
         found.extend(zip(i[keep].tolist(), j[keep].tolist()))
     return found
+
+
+_MAX_ITER = 400
+
+
+def aberth(jet, z):
+    """Aberth iteration from the starting points z on the zeros of a function.
+
+    ``jet(x)`` gives the value and derivative at the points x, each up to
+    the same nonzero factor per point.  Each iterate stops on its own step;
+    the pairwise sum runs in row blocks, so memory stays O(n * block).
+    Returns the iterates and whether every one of them stopped.
+    """
+    z = z.copy()
+    n = z.size
+    active = np.arange(n)
+    rows = max(1, _PAIR_BLOCK // n)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            za = z[active]
+            val, der = jet(za)
+            der = np.where(der == 0, 1e-300, der)
+            w = val / der
+            s = np.empty(active.size, dtype=complex)
+            for b in range(0, active.size, rows):
+                idx = active[b : b + rows]
+                diff = z[idx, None] - z[None, :]
+                diff[np.arange(idx.size), idx] = np.inf
+                s[b : b + rows] = np.sum(1.0 / diff, axis=1)
+            denom = 1.0 - w * s
+            denom = np.where(np.abs(denom) < 1e-14, 1e-14, denom)
+            step = w / denom
+            z[active] = za - step
+            moving = np.abs(step) > 1e-15 * (1.0 + np.abs(za))
+            active = active[moving]
+            if not active.size:
+                break
+    return z, not active.size
 
 
 def collapse_multiple_roots(z, taylor, group_radius=1e-3):

@@ -29,14 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cycles import (
-    Cycle,
     CLASS_ATTRACTING,
     CLASS_SUPER,
     CLASS_SIEGEL,
-    CLASS_CREMER,
-    CLASS_UNRESOLVED,
     PARABOLIC_CLASSES,
 )
+from .parabolic import petal_sector
 from .ratmap import (
     RamificationDivisor,
     RationalMap,
@@ -209,8 +207,8 @@ class _OrbitTracker:
                 if u is not None and abs(u) < 0.4:
                     x = inv.normal_series(u)
                     ax = abs(x)
-                    ok = 0 < ax < abs(petal_prev.get(i, np.inf)) and _in_attracting_sector(
-                        x, inv.e_loc
+                    ok = 0 < ax < abs(petal_prev.get(i, np.inf)) and (
+                        petal_sector(x, inv.e_loc, 1.02) is not None
                     )
                     petal_run[i] = petal_run.get(i, 0) + 1 if ok else 0
                     petal_prev[i] = ax if ok else np.inf
@@ -247,14 +245,6 @@ class _OrbitTracker:
             if c.contains(pt):
                 return f"C{i}"
         return ""
-
-
-def _in_attracting_sector(x, m, slack=1.02):
-    for j in range(m):
-        theta = (np.pi + 2 * np.pi * j) / m
-        if abs(np.angle(x * np.exp(-1j * theta))) <= slack * np.pi / (2 * m):
-            return True
-    return False
 
 
 def classify_tails(f: RationalMap, cycles, annotations=(), budget=DEFAULT_BUDGET):

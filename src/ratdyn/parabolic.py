@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import SeriesError, TruncatedSeries
+from .series import TruncatedSeries
 from .ratmap import RationalMap, SpherePoint, _as_point, local_coord
 
 UNITY_TOL = 1e-8
@@ -306,9 +306,8 @@ def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0,
         if u is None or abs(u) > 0.8:
             raise ParabolicError("point escaped the parabolic chart during iteration")
         x = inv.normal_series(u)
-        if not _in_petal(x, m, petal_index):
-            if n == 0:
-                raise ParabolicError("point is not in the requested petal sector")
+        if n == 0 and petal_sector(x, m, 1.15) != petal_index:
+            raise ParabolicError("point is not in the requested petal sector")
         s0 = _model_coordinate(x, m, inv.nu)
         val = s0 - n
         prev = val
@@ -317,13 +316,20 @@ def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0,
     return complex(prev)
 
 
-def _in_petal(x, m, petal_index, slack=1.15):
-    """Sector test: arg(x) within +-slack*pi/(2m)... of attracting axis j."""
+def petal_sector(x, m, slack):
+    """Index j of the attracting sector of x, or None.
+
+    Sector j holds the arguments within slack * pi/(2m) of the attracting
+    axis (pi + 2 pi j)/m; x = 0 lies in none.  For slack < 2 the sectors
+    are disjoint, so the index is unique.
+    """
     if x == 0:
-        return False
-    theta = (np.pi + 2 * np.pi * petal_index) / m
-    d = np.angle(x * np.exp(-1j * theta))
-    return abs(d) <= slack * np.pi / (2 * m) + 1e-9
+        return None
+    for j in range(m):
+        theta = (np.pi + 2 * np.pi * j) / m
+        if abs(np.angle(x * np.exp(-1j * theta))) <= slack * np.pi / (2 * m):
+            return j
+    return None
 
 
 def _model_coordinate(x, m, nu):

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 
+from .kernel import Polynomial
+
 
 class ParseError(ValueError):
     """Syntax or binding error, with the character position in the source."""
@@ -51,21 +53,58 @@ def tokenize(text):
     return out
 
 
+class _FractionField:
+    """Fraction arithmetic on (num, den) Polynomial pairs."""
+
+    @staticmethod
+    def const(c):
+        return (Polynomial([c]), Polynomial([1.0]))
+
+    @staticmethod
+    def var():
+        return (Polynomial([0.0, 1.0]), Polynomial([1.0]))
+
+    @staticmethod
+    def add(a, b):
+        return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+    @staticmethod
+    def sub(a, b):
+        return (a[0] * b[1] - b[0] * a[1], a[1] * b[1])
+
+    @staticmethod
+    def mul(a, b):
+        return (a[0] * b[0], a[1] * b[1])
+
+    @staticmethod
+    def div(a, b):
+        if b[0].is_zero:
+            raise ZeroDivisionError("division by the zero expression")
+        return (a[0] * b[1], a[1] * b[0])
+
+    @staticmethod
+    def pow(a, k):
+        num, den = Polynomial([1.0]), Polynomial([1.0])
+        for _ in range(k):
+            num, den = num * a[0], den * a[1]
+        return (num, den)
+
+    @staticmethod
+    def neg(a):
+        return (-a[0], a[1])
+
+
 class ExprParser:
     """Recursive-descent evaluator producing complex-coefficient fractions.
 
-    Values are pairs (num, den) in an arbitrary fraction arithmetic
-    supplied by the ``field`` adapter, which must provide: const(c),
-    var(), add, sub, mul, div, pow, neg.  The adapter for rational maps
-    lives in ratmap; a plain-complex adapter is used for testing.
+    Values are pairs (num, den) of Polynomials, unreduced.
     """
 
-    def __init__(self, text, params, field):
+    def __init__(self, text, params):
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.params = dict(params or {})
-        self.field = field
 
     def _peek(self):
         if self.pos < len(self.tokens):
@@ -91,7 +130,7 @@ class ExprParser:
             if kind == "op" and text in "+-":
                 self._next()
                 rhs = self.term()
-                val = self.field.add(val, rhs) if text == "+" else self.field.sub(val, rhs)
+                val = _FractionField.add(val, rhs) if text == "+" else _FractionField.sub(val, rhs)
             else:
                 return val
 
@@ -102,11 +141,11 @@ class ExprParser:
             if kind == "op" and text in "*/":
                 self._next()
                 rhs = self.factor()
-                val = self.field.mul(val, rhs) if text == "*" else self.field.div(val, rhs)
+                val = _FractionField.mul(val, rhs) if text == "*" else _FractionField.div(val, rhs)
             elif kind == "name" or (kind == "op" and text == "("):
                 # implicit multiplication: 2z, 3(z+1), z(z-1)
                 rhs = self.factor()
-                val = self.field.mul(val, rhs)
+                val = _FractionField.mul(val, rhs)
             else:
                 return val
 
@@ -115,18 +154,15 @@ class ExprParser:
         if kind == "op" and text in "+-":
             self._next()
             val = self.factor()
-            return val if text == "+" else self.field.neg(val)
+            return val if text == "+" else _FractionField.neg(val)
         val = self.atom()
         kind, text, at = self._peek()
         if kind == "op" and text == "^":
             self._next()
             k2, t2, a2 = self._next()
-            neg = False
-            if k2 == "op" and t2 == "-":
-                raise ParseError("exponent must be a nonnegative integer", a2)
             if k2 != "num" or "." in t2:
                 raise ParseError("exponent must be a nonnegative integer", a2)
-            val = self.field.pow(val, int(t2))
+            val = _FractionField.pow(val, int(t2))
         return val
 
     def atom(self):
@@ -135,15 +171,15 @@ class ExprParser:
             nxt = self._peek()
             if nxt[0] == "name" and nxt[1] == "i":
                 self._next()
-                return self.field.const(complex(0, float(text)))
-            return self.field.const(complex(float(text)))
+                return _FractionField.const(complex(0, float(text)))
+            return _FractionField.const(complex(float(text)))
         if kind == "name":
             if text == "z":
-                return self.field.var()
+                return _FractionField.var()
             if text == "i":
-                return self.field.const(1j)
+                return _FractionField.const(1j)
             if text in self.params:
-                return self.field.const(complex(self.params[text]))
+                return _FractionField.const(complex(self.params[text]))
             raise ParseError(f"unbound parameter {text!r}", at)
         if kind == "op" and text == "(":
             val = self.expr()
@@ -152,46 +188,3 @@ class ExprParser:
                 raise ParseError("expected ')'", a2)
             return val
         raise ParseError(f"unexpected {text or 'end of input'!r}", at)
-
-
-class ComplexField:
-    """Adapter evaluating expressions to a plain complex number (no z allowed)."""
-
-    @staticmethod
-    def const(c):
-        return complex(c)
-
-    @staticmethod
-    def var():
-        raise ParseError("variable z not allowed in a scalar expression", 0)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in scalar expression")
-        return a / b
-
-    @staticmethod
-    def pow(a, k):
-        return a**k
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-
-def parse_scalar(text, params=None):
-    """Evaluate a z-free expression to a complex number."""
-    return ExprParser(text, params, ComplexField).parse()

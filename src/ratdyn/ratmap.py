@@ -23,7 +23,7 @@ from .kernel import (
     Polynomial,
     poly_roots,
 )
-from .parser import ExprParser, ParseError
+from .parser import ExprParser
 
 SNAP_TOL = 1e-7
 CHART_RADIUS = 2.0
@@ -111,10 +111,8 @@ class SpherePoint:
             return NotImplemented
         return self.close_to(other)
 
-    def __hash__(self):
-        # hashing by identity-of-grid is unreliable; use a coarse bucket
-        chart, c = self.chart_coords()
-        return hash(chart)
+    # __eq__ is closeness, which is not transitive: no hash can agree with it
+    __hash__ = None
 
     def to_json(self):
         if self.is_infinity:
@@ -400,9 +398,6 @@ class RamificationDivisor:
     def with_entry(self, pt, mult):
         return RamificationDivisor(self.entries + [(pt, mult)], label=self.label)
 
-    def support(self):
-        return [pt for pt, _ in self.entries]
-
     def __len__(self):
         return len(self.entries)
 
@@ -419,50 +414,9 @@ class RamificationDivisor:
         }
 
 
-class _FractionField:
-    """Parser adapter building (num, den) Polynomial pairs."""
-
-    @staticmethod
-    def const(c):
-        return (Polynomial([c]), Polynomial([1.0]))
-
-    @staticmethod
-    def var():
-        return (Polynomial([0.0, 1.0]), Polynomial([1.0]))
-
-    @staticmethod
-    def add(a, b):
-        return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-
-    @staticmethod
-    def sub(a, b):
-        return (a[0] * b[1] - b[0] * a[1], a[1] * b[1])
-
-    @staticmethod
-    def mul(a, b):
-        return (a[0] * b[0], a[1] * b[1])
-
-    @staticmethod
-    def div(a, b):
-        if b[0].is_zero:
-            raise ZeroDivisionError("division by the zero expression")
-        return (a[0] * b[1], a[1] * b[0])
-
-    @staticmethod
-    def pow(a, k):
-        num, den = Polynomial([1.0]), Polynomial([1.0])
-        for _ in range(k):
-            num, den = num * a[0], den * a[1]
-        return (num, den)
-
-    @staticmethod
-    def neg(a):
-        return (-a[0], a[1])
-
-
 def parse_map(text, params=None):
     """Parse an expression in z (with optional parameter bindings) to a RationalMap."""
-    num, den = ExprParser(text, params, _FractionField).parse()
+    num, den = ExprParser(text, params).parse()
     if num.is_zero:
         raise MapError("expression is identically zero (not a self-map)")
     return RationalMap(num, den)

@@ -51,7 +51,7 @@ import numpy as np
 from .kernel import Polynomial, horner_with_derivative
 from .parabolic import ParabolicInvariants, _model_coordinate, tangency_and_residu
 from .parser import ExprParser
-from .ratmap import RationalMap, SpherePoint, _as_point, _FractionField
+from .ratmap import RationalMap, SpherePoint, _as_point
 
 QUAD_BUDGET = 1_000_000
 DEFAULT_SEED = 0
@@ -82,7 +82,7 @@ class FormDensity:
 
     @classmethod
     def parse(cls, text, m=1, params=None):
-        num, den = ExprParser(text, params, _FractionField).parse()
+        num, den = ExprParser(text, params).parse()
         return cls(num, den, m)
 
     def w_value(self, z):

@@ -163,11 +163,3 @@ class TruncatedSeries:
 
     def __call__(self, z):
         return horner(self.c, z)
-
-    def valuation(self, tol=0.0):
-        """Index of first coefficient with magnitude above tol (order+1 if none)."""
-        scale = np.max(np.abs(self.c)) if len(self.c) else 0.0
-        for k, ck in enumerate(self.c):
-            if abs(ck) > tol * scale:
-                return k
-        return self.order + 1

@@ -15,11 +15,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ratdyn.cli import main as cli_main
-from ratdyn.corpus import corpus_run, load_corpus
-from ratdyn.cycles import PARABOLIC_CLASSES, analyze_cycles, load_annotations
+from ratdyn.corpus import corpus_run, load_corpus, run_pipeline
+from ratdyn.cycles import PARABOLIC_CLASSES, load_annotations
 from ratdyn.extjet import JetSpec, global_e1, jet_e1
 from ratdyn.kernel import Polynomial
-from ratdyn.orbits import KIND_TAME, classify_tails
+from ratdyn.orbits import KIND_TAME
 from ratdyn.parabolic import fatou_coordinate, tangency_and_residu
 from ratdyn.ratmap import MapError, RationalMap, parse_map
 from ratdyn.residue import FormDensity, dynamical_residue
@@ -35,9 +35,8 @@ def _corpus_pipeline(entry, budget=100_000):
                   {k: complex(v[0], v[1])
                    for k, v in entry.get("params", {}).items()})
     anns = load_annotations(entry.get("annotations", []))
-    cycles = analyze_cycles(f, int(entry.get("max_period", 2)), anns)
-    tails, split = classify_tails(f, cycles, anns, budget=budget)
-    return f, cycles, tails, split
+    run = run_pipeline(f, anns, int(entry.get("max_period", 2)), budget)
+    return f, run.cycles, run.tails, run.split
 
 
 class TestCriterion1GlobalDims:

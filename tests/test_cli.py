@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ratdyn.cli import main
+from ratdyn.corpus import load_corpus
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,33 @@ class TestPipelines:
         obj = json.loads(out)
         assert code == 0
         assert obj["satisfied_v"] and obj["satisfied_i"]
+
+    def test_count_with_annotations_matches_corpus(self, capsys, tmp_path):
+        entry = next(e for e in load_corpus() if e["name"] == "quad-siegel-golden")
+        map_file = tmp_path / "map.json"
+        map_file.write_text(json.dumps({"map": entry["map"], "params": entry["params"]}))
+        annot = tmp_path / "annot.json"
+        annot.write_text(json.dumps({"annotations": entry["annotations"]}))
+        code, out, _ = run_cli(
+            capsys, "count", "--map-file", str(map_file), "--annot", str(annot),
+            "--max-period", str(entry["max_period"]),
+        )
+        assert code == 0
+        _, corpus_out, _ = run_cli(capsys, "corpus-run", "--only", entry["name"])
+        assert json.loads(out) == json.loads(corpus_out)["entries"][0]["report"]["counts"]
+
+    def test_count_rejects_degree_one(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--map", "z/(1+z)")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "CountError"
+
+    def test_residue_binds_param_in_form(self, capsys):
+        args = ("residue", "--map", "2*z", "--family", "disc",
+                "--family-param", "0.2", "--family-param", "0.1")
+        code, out, _ = run_cli(capsys, *args, "--form", "a/z", "--param", "a=2")
+        assert code == 0
+        _, literal, _ = run_cli(capsys, *args, "--form", "2/z")
+        assert json.loads(out) == json.loads(literal)
 
     def test_residue_with_trace(self, capsys, tmp_path):
         csv = tmp_path / "trace.csv"

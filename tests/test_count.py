@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
+from ratdyn.corpus import run_pipeline
 from ratdyn.count import CountError, CountReport, evaluate_counts
-from ratdyn.cycles import Annotation, analyze_cycles
-from ratdyn.orbits import (
-    classify_tails,
-    delta_marks,
-    epsilon_marks,
-    regions_from_annotations,
-)
+from ratdyn.cycles import Annotation
 from ratdyn.ratmap import parse_map
 
 GOLDEN = (np.sqrt(5) - 1) / 2
@@ -21,12 +16,9 @@ C_G = LAM_G / 2 - LAM_G**2 / 4
 def full_audit(expr, params=None, anns=(), max_period=2, budget=50_000,
                **kwargs):
     f = parse_map(expr, params)
-    cycles = analyze_cycles(f, max_period, anns)
-    tails, split = classify_tails(f, cycles, anns, budget=budget)
-    regions = regions_from_annotations(cycles, anns)
-    eps = epsilon_marks(split, regions)
-    deltas = delta_marks(cycles, split)
-    return evaluate_counts(f, cycles, tails, split, eps, deltas, anns, **kwargs)
+    run = run_pipeline(f, anns, max_period, budget)
+    return evaluate_counts(f, run.cycles, run.tails, run.split, run.epsilons, run.deltas,
+                           anns, **kwargs)
 
 
 class TestBasics:

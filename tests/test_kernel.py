@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,15 @@ class TestRoots:
         a, b = parse_map("z^2 - 1").compose_self_homogeneous(6)
         with pytest.raises(RootFindingError, match="not finite"):
             poly_roots(a - Polynomial([0, 1]) * b)
+
+    def test_nonfinite_iterates_raise_without_warnings(self):
+        from ratdyn.ratmap import parse_map
+
+        a, b = parse_map("z^2 - 1").compose_self_homogeneous(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RootFindingError, match="not finite"):
+                poly_roots(a - Polynomial([0, 1]) * b)
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomialError):

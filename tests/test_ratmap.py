@@ -24,6 +24,11 @@ class TestSpherePoint:
         assert chart == "w" and abs(w - 0.1) < 1e-15
         assert SpherePoint.infinity().chart_coords() == ("w", 0j)
 
+    def test_unhashable(self):
+        # equality is closeness, which no hash can agree with
+        with pytest.raises(TypeError):
+            hash(SpherePoint(0))
+
     def test_distance_across_charts(self):
         a = SpherePoint(1e9)
         b = SpherePoint.infinity()

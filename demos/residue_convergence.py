@@ -8,10 +8,10 @@ Two experiments:
    per-region trace so the Richardson-style extrapolation is visible.
 
 2. The parabolic case: for f(z) = z + z^2 and W = (1 + nu z)/z^2 the
-   estimate converges to 2*Re(nu) (see the note in ratdyn.residue on
-   why the factor is 2 and not a petal-normalized constant).
+   estimate converges to 2*Re(nu) (see the reference values in
+   ratdyn.residue).
 
-Run:  python3 demos/residue_convergence.py          (about 20 s)
+Run:  python3 demos/residue_convergence.py          (under a second)
 """
 
 import math

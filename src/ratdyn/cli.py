@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -193,7 +192,6 @@ def _cmd_residue(args):
         center=_parse_complex(args.center),
         params=family_params,
         budget=args.budget,
-        use_qmc=args.qmc,
     )
     if args.trace_csv:
         rows = trace_csv_rows(est)
@@ -298,8 +296,6 @@ def build_parser():
         description="Dynamical invariants of rational self-maps of the sphere.",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    ap.add_argument("--seed", type=int, default=None,
-                    help="override the seed of the quasi-Monte-Carlo integrator (--qmc)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("parse", help="parse a map; report degree and criticals")
@@ -329,9 +325,7 @@ def build_parser():
                     help="region size parameter (repeatable; default schedule)")
     sp.add_argument("--center", default="0", help="fixed point (complex)")
     sp.add_argument("--budget", type=int, default=QUAD_BUDGET,
-                    help="quadrature evaluation budget per region")
-    sp.add_argument("--qmc", action="store_true",
-                    help="use the quasi Monte Carlo fallback integrator")
+                    help="density evaluations per region for the node doubling")
     sp.add_argument("--trace-csv", help="write the parameter trace CSV here")
     sp.set_defaults(fn=_cmd_residue)
 
@@ -374,8 +368,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.seed is not None:
-        os.environ["DYNLEDGER_SEED"] = str(args.seed)
     try:
         return args.fn(args)
     except INPUT_ERRORS as exc:

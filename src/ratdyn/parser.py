@@ -78,8 +78,6 @@ class _FractionField:
 
     @staticmethod
     def div(a, b):
-        if b[0].is_zero:
-            raise ZeroDivisionError("division by the zero expression")
         return (a[0] * b[1], a[1] * b[0])
 
     @staticmethod
@@ -137,10 +135,12 @@ class ExprParser:
     def term(self):
         val = self.factor()
         while True:
-            kind, text, _ = self._peek()
+            kind, text, at = self._peek()
             if kind == "op" and text in "*/":
                 self._next()
                 rhs = self.factor()
+                if text == "/" and rhs[0].is_zero:
+                    raise ParseError("division by the zero expression", at)
                 val = _FractionField.mul(val, rhs) if text == "*" else _FractionField.div(val, rhs)
             elif kind == "name" or (kind == "op" and text == "("):
                 # implicit multiplication: 2z, 3(z+1), z(z-1)

@@ -4,46 +4,49 @@ The measure mu = |W|^(2/m) "dzbar dz" is normalized as (1/pi)|W(z)|^(2/m)
 times planar Lebesgue measure; with this convention the classical linear
 benchmark (f = lambda z against |z|^-2) evaluates to log|lambda|^2.
 
+The residue is a boundary integral.  With rho the density, z0 the fixed
+point and G(z) = int_{r*}^{|z-z0|} rho(z0 + s e^{i theta}) s ds its radial
+primitive (theta = arg(z - z0)), d(G dtheta) = rho dA off z0, so by Stokes,
+for a region V about z0 with positively oriented boundary gamma,
+
+    Res_f^V = oint_{f o gamma} G dtheta - oint_gamma G dtheta.
+
+The two curves count f(V)\\V and V\\f(V) by winding numbers, so this holds
+where f(gamma) crosses gamma, and f o gamma is f applied to the nodes of
+gamma.  G is integrated by Gauss-Legendre in log s, the curves by the
+trapezoid rule (circles) or by Gauss-Legendre pieces; the node count
+doubles until two values agree to _TOL within `budget` density evaluations.
+A region whose nodes do not converge, or whose gamma or f o gamma does not
+wind once about z0, is not integrated but reported unconverged.
+
 Two region families are provided:
 
-* Disc: V = closed eps-discs about a fixed point; membership in f(V) by a
-  vectorized Newton local inverse.  Quadrature is polar with
-  geometrically spaced radial shells (the densities of interest are
-  radially singular), with a seeded quasi-Monte-Carlo fallback.
+* Disc: V = the eps-disc about a fixed point.
 
 * FatouBox: for a parabolic point, V(R) is the pullback of
-  {max(|Re s|, |Im s|) > R} under the approximate Fatou coordinate
-  s0 = t - (nu/m) Log t, t = -1/(m x^m) (principal log, cut on the
-  repelling axes).  Membership in f(V) uses the true local inverse of f
-  (Newton, seeded first-order).  The integral stays in the z plane, over
-  an annulus bracketing the region boundary: the densities of interest
-  have a simple pole whose residue makes s0 multivalued across the cut
-  (period 2 pi i nu per petal), so a parametrization by s would silently
-  drop the cut-strip mismatch that carries the answer, whereas in z
-  every quantity is single-valued and the strip is picked up by the
-  indicator itself.  For a fixed point with |multiplier| != 1 the model
-  coordinate is the linearizer and V(R) degenerates to the disc family
-  with eps = |lambda|^(-R).
+  {max(|Re s0|, |Im s0|) > R} under the approximate Fatou coordinate
+  s0 = t - (nu/m) Log t, t = -1/(m x^m), x the normalizing local coordinate
+  (principal log, cut on the repelling axes).  Its boundary is written
+  down: in each of the m petal sectors the square max(|Re s|, |Im s|) = R
+  pulls back to an arc along which Im Log t runs from -pi to pi.  s0 jumps
+  by 2 pi i nu/m across the cut, so neighbouring arcs end at different
+  radii on the repelling axis between them, and the cut segments joining
+  them are part of the boundary (of zero length when nu is real).  For a
+  fixed point with |multiplier| != 1 the model coordinate is the
+  linearizer and V(R) degenerates to the disc family with eps = |lambda|^(-R).
 
 The residue itself is the limit over shrinking regions; it is estimated
 by linear (Richardson-style) extrapolation along the parameter trace.
-
-Reference values: for a density built from a Laurent coefficient W with
-a simple pole of residue rho at a parabolic fixed point, the FatouBox
-family converges to 2 Re(rho), independently of the petal count.  The
-factor traces back to the same multivaluedness discussed above — the
-translation mismatch between V and f(V) is concentrated in a strip of
-s0-width 1 and height 2 pi Re(rho) per fundamental cut period, and the
-(1/pi) normalization turns that area into 2 Re(rho).  The value was
-checked for one- and two-petal maps.  The disc family is no cross-check
-at a parabolic point: its trace oscillates and the estimate comes back
-flagged unreliable (z + z^2 with W = (1+z)/z^2 gives 2.03 +- 0.11, and
-z + z^3 with W = (1+1.5z^2)/z^3 gives 185.75 +- 1.0e3).
+For a density built from a Laurent coefficient W with a simple pole of
+residue rho at a parabolic fixed point, both families converge to
+2 Re(rho), independently of the petal count (checked for one- and
+two-petal maps, and against each other).
 """
 
 from __future__ import annotations
 
-import os
+import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,17 +54,11 @@ import numpy as np
 from .kernel import Polynomial, horner_with_derivative
 from .parabolic import ParabolicInvariants, _model_coordinate, tangency_and_residu
 from .parser import ExprParser
-from .ratmap import RationalMap, SpherePoint, _as_point
+from .ratmap import RationalMap, _as_point
 
 QUAD_BUDGET = 1_000_000
-DEFAULT_SEED = 0
-# points per indicator evaluation: keeps the Newton temporaries cache-sized
-_BLOCK = 1 << 15
-
-
-def _seed():
-    env = os.environ.get("DYNLEDGER_SEED")
-    return int(env) if env else DEFAULT_SEED
+_TOL = 1e-10  # agreement of a region's value under node doubling
+_RADIAL = 48  # Gauss-Legendre nodes of the radial primitive G, in log s
 
 
 class ResidueError(ValueError):
@@ -122,191 +119,116 @@ class ResidueEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Shared annular quadrature
+# Boundary integral
 # ---------------------------------------------------------------------------
 
 
-def _blocked_indicator(indicator_diff, z):
-    """indicator_diff over an array z of any shape, evaluated _BLOCK points at a time."""
-    flat = z.reshape(-1)
-    out = np.empty(flat.size, dtype=int)
-    for lo in range(0, flat.size, _BLOCK):
-        out[lo:lo + _BLOCK] = indicator_diff(flat[lo:lo + _BLOCK])
-    return out.reshape(z.shape)
+@functools.lru_cache(maxsize=16)
+def _gauss(n):
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def _polar_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
-                              n_r=200, n_th=256, refine=16, budget=QUAD_BUDGET):
-    """(integral, converged) of indicator_diff(z) * density(z) over an annulus.
-
-    Midpoint rule on a geometric-radial polar grid; cells whose corner and
-    midpoint indicator values disagree (the region boundaries pass through)
-    are re-integrated on a refine x refine subgrid.  When the evaluation
-    budget cannot cover the requested refinement the subgrid is coarsened
-    to fit and converged comes back False (never an exception: the caller
-    flags the estimate as unreliable instead).
-    """
-    while (n_r + 1) * (n_th + 1) + n_r * n_th > budget and n_r > 16:
-        n_r = n_r * 3 // 4
-        n_th = max(n_th * 3 // 4, 32)
-    edges = np.geomspace(r_lo, r_hi, n_r + 1)
-    th_edges = np.arange(n_th + 1) * 2 * np.pi / n_th
-    dth = 2 * np.pi / n_th
-    corner_z = center + edges[:, None] * np.exp(1j * th_edges[None, :])
-    d_corner = _blocked_indicator(indicator_diff, corner_z)
-    r_mid = np.sqrt(edges[:-1] * edges[1:])
-    dr = np.diff(edges)
-    th_mid = th_edges[:-1] + 0.5 * dth
-    zm = center + r_mid[:, None] * np.exp(1j * th_mid[None, :])
-    dm = _blocked_indicator(indicator_diff, zm)
-    evals = corner_z.size + zm.size
-    plain = (
-        (d_corner[:-1, :-1] == dm)
-        & (d_corner[1:, :-1] == dm)
-        & (d_corner[:-1, 1:] == dm)
-        & (d_corner[1:, 1:] == dm)
-    )
-    area = np.broadcast_to((r_mid * dr)[:, None] * dth, dm.shape)
-    keep = plain & (dm != 0)
-    total = float(np.sum(density(zm[keep]) * dm[keep] * area[keep]))
-    crossed = ~plain
-    converged = True
-    if np.any(crossed):
-        ci, cj = np.nonzero(crossed)
-        n_cross = len(ci)
-        afford = int(np.sqrt(max(budget - evals, 0) / max(n_cross, 1)))
-        if afford < refine:
-            refine = afford
-            converged = False
-        if refine >= 2:
-            lo, hi = edges[:-1][ci], edges[1:][ci]
-            frac = (np.arange(refine) + 0.5) / refine
-            sub_r = lo[:, None] * (hi / lo)[:, None] ** frac[None, :]
-            sub_dr = sub_r * (
-                (hi / lo)[:, None] ** (0.5 / refine)
-                - (hi / lo)[:, None] ** (-0.5 / refine)
-            )
-            sub_th = th_edges[cj][:, None] + (frac * dth)[None, :]
-            sub_dth = dth / refine
-            # (n_cross, refine_r, refine_th)
-            zz = center + sub_r[:, :, None] * np.exp(1j * sub_th[:, None, :])
-            dd = _blocked_indicator(indicator_diff, zz)
-            ww = (sub_r * sub_dr)[:, :, None] * sub_dth
-            total += float(
-                np.sum(density(zz.reshape(-1)).reshape(zz.shape) * dd * ww)
-            )
-        else:
-            # no refinement affordable: midpoint estimate on the crossed cells
-            zc = zm[crossed]
-            total += float(np.sum(density(zc) * dm[crossed] * area[crossed]))
-    return total, converged
+def _boundary_residue(f, mu, z0, z, dz, w):
+    """(oint_{f o gamma} G dtheta - oint_gamma G dtheta, both curves wind once
+    about z0) from the nodes z, velocities dz and weights w of gamma."""
+    p, dp = horner_with_derivative(f.num.coeffs, z)
+    q, dq = horner_with_derivative(f.den.coeffs, z)
+    lo = np.log(np.min(np.abs(z - z0)))  # r*: any constant cancels
+    gx, gw = _gauss(_RADIAL)
+    out = []
+    for c, dc in ((z, dz), (p / q, (dp * q - p * dq) / (q * q) * dz)):
+        u = c - z0
+        hi = np.log(np.abs(u))[:, None]
+        ray = np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * gx)
+        g = (0.5 * (hi - lo) * mu.density(z0 + ray * (u / np.abs(u))[:, None]) * ray**2) @ gw
+        dtheta = w * np.imag(dc / u)
+        out.append((g @ dtheta, np.rint(np.sum(dtheta) / (2 * np.pi))))
+    (inner, turn), (outer, f_turn) = out
+    return float(outer - inner), bool(turn == f_turn == 1)
 
 
-def _qmc_indicator_integral(center, r_lo, r_hi, indicator_diff, density,
-                            budget=QUAD_BUDGET):
-    """Seeded quasi-Monte-Carlo fallback on the same annulus."""
-    from scipy.stats import qmc  # imported here: only --qmc needs it, and it is slow to load
-
-    n = min(budget, 2**17)
-    sob = qmc.Sobol(2, scramble=True, seed=_seed())
-    u = sob.random(n)
-    # radially log-uniform sampling
-    logr = np.log(r_lo) + u[:, 0] * (np.log(r_hi) - np.log(r_lo))
-    r = np.exp(logr)
-    th = 2 * np.pi * u[:, 1]
-    z = center + r * np.exp(1j * th)
-    jac = r * r * (np.log(r_hi) - np.log(r_lo)) * 2 * np.pi
-    vals = density(z) * _blocked_indicator(indicator_diff, z) * jac
-    return float(np.mean(vals)), True
-
-
-# ---------------------------------------------------------------------------
-# Disc family
-# ---------------------------------------------------------------------------
+def _refined(trace, f, mu, z0, n, budget):
+    """(value, converged) on the curves trace(n), doubling n until two values
+    agree to _TOL.  The first curve is always integrated; each further one
+    only if its density evaluations still fit in budget.  value is NaN when
+    the first curve cannot be traced or does not wind once about z0."""
+    value, used = float("nan"), 0
+    while True:
+        curve = trace(n)
+        cost = 2 * _RADIAL * (0 if curve is None else curve[0].size)
+        if curve is None or (used and used + cost > budget):
+            return value, False
+        used += cost
+        new, once = _boundary_residue(f, mu, z0, *curve)
+        if not once:
+            return value, False
+        if abs(new - value) <= _TOL * max(1.0, abs(new)):
+            return new, True
+        value, n = new, 2 * n
 
 
-def _local_inverse(f: RationalMap, z, seed, iters=30):
-    """Vectorized Newton solve of f(w) = z for w near the seed (local branch).
-
-    Each point stops once its own step is below 1e-15 (1 + |w|); only the
-    points still moving are iterated, so a few that never converge do not
-    keep the whole array going until the iteration cap.
-    """
+def _winding(nodes, z):
+    """Winding number about each z of the closed polygon through nodes."""
     z = np.asarray(z, dtype=complex)
-    w = np.array(seed, dtype=complex).reshape(-1)
-    p, q = f.num.coeffs, f.den.coeffs
-    active = np.arange(w.size)
-    wa, za = w, z.reshape(-1)
-    for _ in range(iters):
-        pw, dpw = horner_with_derivative(p, wa)
-        qw, dqw = horner_with_derivative(q, wa)
-        val = pw / qw - za
-        der = (dpw * qw - pw * dqw) / (qw * qw)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = val / np.where(der == 0, 1e-300, der)
-            mag = np.abs(step)
-            step = np.where(mag > 0.5, 0.5 * step / np.where(mag == 0, 1, mag), step)
-        wa = wa - step
-        done = np.abs(step) < 1e-15 * (1.0 + np.abs(wa))
-        if done.any():
-            w[active[done]] = wa[done]
-            active, wa, za = active[~done], wa[~done], za[~done]
-            if not active.size:
-                break
-    w[active] = wa
-    return w.reshape(z.shape)
+    turn = np.zeros(z.shape)
+    for a, b in zip(nodes, np.roll(nodes, -1)):
+        turn += np.angle((b - z) / (a - z))
+    return np.rint(turn / (2 * np.pi)).astype(int)
 
 
-def disc_residue(f: RationalMap, mu: FormDensity, center, eps, budget=QUAD_BUDGET,
-                 use_qmc=False):
+def _gauss_pieces(ends, n):
+    """Nodes, velocities and weights of n-point Gauss-Legendre rules on the
+    segments between consecutive points of ends."""
+    x, w = _gauss(n)
+    a, b = np.asarray(ends[:-1])[:, None], np.asarray(ends[1:])[:, None]
+    half = 0.5 * (b - a) * np.ones(n)
+    return (0.5 * (a + b) + half * x).ravel(), half.ravel(), np.tile(w, len(a))
+
+
+# ---------------------------------------------------------------------------
+# Region families
+# ---------------------------------------------------------------------------
+
+
+def disc_residue(f: RationalMap, mu: FormDensity, center, eps, budget=QUAD_BUDGET):
     """(Res_f^V, converged) for V the eps-disc about a fixed point."""
     z0 = _as_point(center)
     if z0.is_infinity:
         raise ResidueError("disc family at infinity is not supported")
     z0 = z0.value
-    lam = f.derivative_multiplier_chart(SpherePoint(z0))
-    big = max(abs(lam), 1.0 / max(abs(lam), 1e-12)) * 1.5 + 0.2
-    r_lo, r_hi = eps / big, eps * big
 
-    def indicator_diff(z):
-        # +1 on f(V)\V, -1 on V\f(V)
-        in_v = np.abs(z - z0) <= eps
-        seed = z0 + (z - f.num(z0) / f.den(z0)) / lam
-        w = _local_inverse(f, z, seed)
-        ok = np.abs(f.num(w) / f.den(w) - z) < 1e-8 * max(1.0, abs(z0))
-        in_fv = ok & (np.abs(w - z0) <= eps)
-        return in_fv.astype(int) - in_v.astype(int)
+    def circle(n):
+        e = eps * np.exp(2j * np.pi * np.arange(n) / n)
+        return z0 + e, 1j * e, np.full(n, 2 * np.pi / n)
 
-    if use_qmc:
-        return _qmc_indicator_integral(z0, r_lo, r_hi, indicator_diff, mu.density,
-                                       budget)
-    return _polar_indicator_integral(z0, r_lo, r_hi, indicator_diff, mu.density,
-                                     n_r=200, n_th=256, refine=16, budget=budget)
+    return _refined(circle, f, mu, z0, 64, budget)
 
 
-# ---------------------------------------------------------------------------
-# FatouBox family
-# ---------------------------------------------------------------------------
+def _cut_radius(c, a):
+    """r > 0 with r + a ln r = c (Newton from r = c), or None."""
+    r = c
+    for _ in range(50):
+        step = (r + a * np.log(r) - c) / (1 + a / r) if r > 0 else np.nan
+        r -= step
+        if abs(step) < 1e-15 * r:
+            return r
+    return None
 
 
 class FatouBoxModel:
-    """Approximate-Fatou-coordinate region machinery for one parabolic point.
-
-    V(R) is the pullback of {max(|Re s0|, |Im s0|) > R} under
-    s0 = t - (nu/m) Log t, t = -1/(m x^m), with x the normalizing local
-    coordinate; the residue integral itself is carried out in the z plane
-    (see the module docstring for why a parametrization by s0 would lose
-    the answer).  The map whose dynamics define f(V) may differ from the
-    map that produced the parabolic data (e.g. an iterate of it).
-    """
+    """Region machinery of the approximate Fatou coordinate s0 at one
+    parabolic point (see the module docstring).  The map whose dynamics
+    define f(V) may differ from the map that produced the parabolic data
+    (e.g. an iterate of it)."""
 
     def __init__(self, f: RationalMap, inv: ParabolicInvariants):
         self.f = f
-        self.inv = inv
         self.m = inv.e_loc
         self.nu = inv.nu
         self.xser = inv.normal_series
-        self.alpha = complex(inv.normal_series.c[1])
         c0, t0 = inv.z0.chart_coords()
         if c0 != "z":
             raise ResidueError("FatouBox requires a finite parabolic point")
@@ -324,91 +246,115 @@ class FatouBoxModel:
         val = np.maximum(np.abs(s.real), np.abs(s.imag))
         return np.where(np.isfinite(val), val, np.inf) > R
 
+    def boundary(self, R, n):
+        """(z, dz, w): nodes, velocities and weights of the positively oriented
+        boundary of V(R), n Gauss-Legendre nodes per piece; None if it cannot
+        be traced."""
+        m, k = self.m, self.nu / self.m
+        # |t| where the arcs meet the cut, at Im Log t = -pi (lo) and +pi (hi)
+        r_lo, r_hi = (_cut_radius(R + sign * np.pi * k.imag, k.real) for sign in (-1, 1))
+        if r_lo is None or r_hi is None:
+            return None
+        ends = [-r_lo - k * complex(np.log(r_lo), -np.pi), -R - 1j * R, R - 1j * R,
+                R + 1j * R, -R + 1j * R, -r_hi - k * complex(np.log(r_hi), np.pi)]
+        if max(abs(ends[0].imag), abs(ends[-1].imag)) >= R:
+            return None
+        s, ds, w = _gauss_pieces(ends, n)
+        # L = Log t solves e^L - k L = s: Newton continuation along the square
+        L, cur = np.empty_like(s), complex(np.log(r_lo), -np.pi)
+        for i, si in enumerate(s):
+            for _ in range(8):
+                cur -= (cmath.exp(cur) - k * cur - si) / (cmath.exp(cur) - k)
+            L[i] = cur
+        if np.any(np.abs(np.exp(L) - k * L - s) > 1e-12 * np.abs(s)) or np.any(np.abs(L.imag) > np.pi):
+            return None
+        # sector j's arc runs clockwise in x from arg 2 pi (j+1)/m to 2 pi j/m;
+        # the cut segment on that repelling axis joins it to the next arc
+        a, b = (m * r_hi) ** (-1.0 / m), (m * r_lo) ** (-1.0 / m)
+        pieces = []
+        for j in reversed(range(m)):
+            x = np.exp((-np.log(m) - L + 1j * np.pi * (1 + 2 * j)) / m)
+            pieces += [(x, -x / m * ds / (np.exp(L) - k), w),
+                       _gauss_pieces(np.exp(2j * np.pi * j / m) * np.array([a, b]), n)]
+        x, dx, w = (np.concatenate(c)[::-1] for c in zip(*pieces))
+        # u = z - z0 solves normal_series(u) = x: Newton from the reverted series
+        u, dser = self.xser.reverse()(x), self.xser.derivative()
+        for _ in range(10):
+            u = u - (self.xser(u) - x) / dser(u)
+        if not np.all(np.abs(self.xser(u) - x) <= 1e-12 * np.abs(x)):
+            return None
+        return self.z0 + u, -dx / dser(u), w
+
     def indicator_diff(self, z, R):
-        """+1 on f(V(R)) \\ V(R), -1 on V(R) \\ f(V(R)), else 0."""
-        z = np.asarray(z, dtype=complex)
-        in_v = self.in_region(z, R)
-        # local inverse of the dynamics, seeded by the first-order backward step
-        seed = 2 * z - self.f.num(z) / self.f.den(z)
-        w = _local_inverse(self.f, z, seed)
-        ok = np.abs(self.f.num(w) / self.f.den(w) - z) < 1e-9 * np.maximum(
-            1.0, np.abs(z)
-        )
-        in_fv = ok & self.in_region(w, R)
-        return in_fv.astype(int) - in_v.astype(int)
+        """+1 on f(V(R)) \\ V(R), -1 on V(R) \\ f(V(R)), else 0: the winding
+        numbers wind(f o dV(R), z) - wind(dV(R), z) on the traced nodes."""
+        curve = self.boundary(R, 256)
+        if curve is None:
+            raise ResidueError(f"boundary of V({R}) cannot be traced")
+        return _winding(self.f.num(curve[0]) / self.f.den(curve[0]), z) - _winding(curve[0], z)
 
-    def boundary_radii(self, R):
-        """Annulus (about z0) bracketing the boundary of V(R) and its image."""
-
-        def radius_for(S):
-            return (self.m * S) ** (-1.0 / self.m) / abs(self.alpha)
-
-        r_hi = 1.7 * radius_for(max(R - 2.0, 1.0))
-        r_lo = 0.55 * radius_for(np.sqrt(2.0) * R + 2.0)
-        return r_lo, r_hi
-
-    def residue(self, mu: FormDensity, R, budget=QUAD_BUDGET, use_qmc=False):
+    def residue(self, mu: FormDensity, R, budget=QUAD_BUDGET):
         """(Res^{V(R)}, converged) under the dynamics of self.f."""
-        r_lo, r_hi = self.boundary_radii(R)
-        ind = lambda z: self.indicator_diff(z, R)
-        if use_qmc:
-            return _qmc_indicator_integral(self.z0, r_lo, r_hi, ind, mu.density,
-                                           budget)
-        # angular resolution matters most: the cut-strip mismatch regions
-        # are thin slivers hugging the repelling axes
-        return _polar_indicator_integral(self.z0, r_lo, r_hi, ind, mu.density,
-                                         n_r=300, n_th=512, refine=32,
-                                         budget=budget)
+        return _refined(lambda n: self.boundary(R, n), self.f, mu, self.z0, 16, budget)
 
 
-def _region_sample(f, mu, kind, param, center, inv, budget, use_qmc):
+def _linearizable(f, center):
+    """|lambda| at a fixed point whose multiplier is off the unit circle, else None."""
+    mod = abs(f.derivative_multiplier_chart(_as_point(center)))
+    return mod if abs(mod - 1.0) > 1e-8 else None
+
+
+def _region_sample(f, mu, kind, param, center, inv, budget):
     """(value, converged) for one region instance."""
     if kind == "disc":
-        return disc_residue(f, mu, center, param, budget, use_qmc)
+        return disc_residue(f, mu, center, param, budget)
     if kind == "fatou":
-        z0 = _as_point(center)
-        lam = f.derivative_multiplier_chart(z0)
-        if abs(abs(lam) - 1.0) > 1e-8:
+        mod = _linearizable(f, center)
+        if mod is not None:
             # linearizable point: the model region is the |lam|^-R disc
-            eps = abs(lam) ** (-param) if abs(lam) > 1 else abs(lam) ** param
-            return disc_residue(f, mu, center, eps, budget, use_qmc)
+            return disc_residue(f, mu, center, min(mod, 1.0 / mod) ** param, budget)
         if inv is None:
-            inv = tangency_and_residu(f, z0, 1, 1)
-        model = FatouBoxModel(f, inv)
-        return model.residue(mu, param, budget, use_qmc)
+            inv = tangency_and_residu(f, _as_point(center), 1, 1)
+        return FatouBoxModel(f, inv).residue(mu, param, budget)
     raise ResidueError(f"unknown region kind {kind!r}")
 
 
 def residue_for_region(f: RationalMap, mu: FormDensity, kind, param, center=0.0,
-                       inv: ParabolicInvariants | None = None, budget=QUAD_BUDGET,
-                       use_qmc=False):
+                       inv: ParabolicInvariants | None = None, budget=QUAD_BUDGET):
     """Signed residue for one region instance: kind 'disc' (param eps) or
     'fatou' (param R)."""
-    value, _ = _region_sample(f, mu, kind, param, center, inv, budget, use_qmc)
+    value, _ = _region_sample(f, mu, kind, param, center, inv, budget)
     return value
 
 
 def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
-                      params=None, inv=None, budget=QUAD_BUDGET, use_qmc=False):
+                      params=None, inv=None, budget=QUAD_BUDGET):
     """Extrapolated residue along a shrinking region family.
 
     params: decreasing eps grid (disc) or increasing R grid (fatou).
     """
     if params is None:
-        params = [5.0, 6.0, 8.0, 10.0, 12.0] if kind == "fatou" else [
-            0.2, 0.1, 0.05, 0.025,
-        ]
-    trace = []
+        if kind == "disc":
+            params = [0.2, 0.1, 0.05, 0.025]
+        elif _linearizable(f, center) is None:
+            # at small R the boundary of V(R) reaches beyond the normal series
+            params = [20.0, 24.0, 32.0, 40.0, 48.0]
+        else:
+            # keeps eps = |lambda|^-R above the rounding level of the point
+            params = [5.0, 6.0, 8.0, 10.0, 12.0]
+    trace, notes = [], []
     all_converged = True
     for p in params:
-        v, ok = _region_sample(f, mu, kind, p, center, inv, budget, use_qmc)
+        v, ok = _region_sample(f, mu, kind, p, center, inv, budget)
         all_converged = all_converged and ok
-        trace.append((float(p), float(v)))
+        if np.isfinite(v):  # a region that was not traced has no value
+            trace.append((float(p), float(v)))
+    if not trace:
+        raise ResidueError("no region of the family could be traced")
     xs = np.array([1.0 / p if kind == "fatou" else p for p, _ in trace])
     ys = np.array([v for _, v in trace])
-    notes = []
     incs = np.diff(ys)
-    noise = 1e-6 * max(1.0, float(np.max(np.abs(ys))) if len(ys) else 1.0)
+    noise = 1e-6 * max(1.0, float(np.max(np.abs(ys))))
     monotone = bool(np.all(incs >= -noise) or np.all(incs <= noise))
     if len(trace) >= 3 and monotone:
         # Richardson: linear fit in the small parameter
@@ -435,14 +381,9 @@ def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
         notes.append("trace increments growing; extrapolation unreliable")
     if not all_converged:
         reliable = False
-        notes.append("quadrature budget exhausted before full refinement")
-    return ResidueEstimate(
-        value=value,
-        error_bar=float(error),
-        parameter_trace=trace,
-        reliable=reliable,
-        notes=notes,
-    )
+        notes.append("a region did not converge: node budget exhausted or "
+                     "boundary not traced once around the point")
+    return ResidueEstimate(value, float(error), trace, reliable, notes)
 
 
 def trace_csv_rows(estimate: ResidueEstimate):

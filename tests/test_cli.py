@@ -40,10 +40,11 @@ class TestParse:
         assert len(data) == len(b"P6\n32 32\n255\n") + 32 * 32 * 3
 
     def test_bad_expression_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "parse", "--map", "z^2 +")
-        assert code == 2
-        obj = json.loads(err)
-        assert "error" in obj and "message" in obj
+        for text in ("z^2 +", "1/(z-z)"):
+            code, _, err = run_cli(capsys, "parse", "--map", text)
+            assert code == 2
+            obj = json.loads(err)
+            assert "error" in obj and "message" in obj
 
     def test_missing_map_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "parse")
@@ -130,6 +131,21 @@ class TestPipelines:
         assert code == 0
         _, literal, _ = run_cli(capsys, *args, "--form", "2/z")
         assert json.loads(out) == json.loads(literal)
+
+    def test_residue_zero_division_in_form_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "residue", "--map", "2*z", "--form", "1/(z-z)")
+        assert code == 2 and out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "ParseError" and "position 1" in obj["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--seed", "1", "parse", "--map", "z^2"),
+        ("residue", "--map", "2*z", "--form", "1/z", "--qmc"),
+    ])
+    def test_removed_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
 
     def test_residue_with_trace(self, capsys, tmp_path):
         csv = tmp_path / "trace.csv"

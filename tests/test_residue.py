@@ -1,22 +1,15 @@
-"""Numerical dynamical residues: quadrature, extrapolation, reliability flags."""
-
-import os
-import subprocess
-import sys
+"""Numerical dynamical residues: boundary integral, extrapolation, reliability flags."""
 
 import numpy as np
 import pytest
 
-import ratdyn
-from ratdyn.ratmap import parse_map
+from ratdyn.kernel import Polynomial
+from ratdyn.ratmap import RationalMap, parse_map
 from ratdyn.parabolic import tangency_and_residu
 from ratdyn.residue import (
-    _BLOCK,
     FatouBoxModel,
     FormDensity,
     ResidueError,
-    _blocked_indicator,
-    _local_inverse,
     disc_residue,
     dynamical_residue,
     residue_for_region,
@@ -75,24 +68,7 @@ class TestLinearizableResidue:
         mu = FormDensity.parse("1/z")
         val, converged = disc_residue(f, mu, 0.0, 0.1)
         assert converged
-        assert abs(val - LOG4) < 1e-3  # single-grid quadrature accuracy
-
-    def test_qmc_fallback_agrees(self):
-        f = parse_map("2*z")
-        mu = FormDensity.parse("1/z")
-        val = residue_for_region(f, mu, "disc", 0.1, use_qmc=True)
-        assert abs(val - LOG4) < 0.05 * LOG4
-
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is slow to import and only the QMC fallback needs it
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ratdyn.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, ratdyn; print('scipy.stats' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "False"
+        assert abs(val - LOG4) < 1e-3  # one region, before extrapolation
 
 
 class TestBudgetAndFlags:
@@ -114,9 +90,8 @@ class TestBudgetAndFlags:
 
 class TestParabolicResidue:
     def test_one_petal_reference_value(self):
-        # the z-plane annulus quadrature converges to twice the residue of
-        # W at the origin (see the module docstring for why the factor is
-        # 2 Re and not the petal-normalized constant)
+        # the fatou family converges to twice the residue of W at the
+        # origin (see the reference values in the module docstring)
         f = parse_map("z + z^2")
         mu = FormDensity.parse("(1 + z)/z^2")
         est = dynamical_residue(f, mu, kind="fatou", params=[5, 6, 8],
@@ -133,53 +108,74 @@ class TestParabolicResidue:
         assert abs(est.value) < 0.05
 
 
-class TestLocalInverse:
-    def grid(self, f):
-        # annulus about the parabolic point 0 of z + z^2, seeded as in FatouBox
-        r, th = np.meshgrid(np.geomspace(0.01, 0.3, 40), np.linspace(0, 2 * np.pi, 64))
-        z = (r * np.exp(1j * th)).reshape(-1)
-        return z, 2 * z - f.num(z) / f.den(z)
+def cubic_parabolic(a):
+    """z + z^2 + a z^3 (nu = 1 - a), its parabolic package at 0 and the
+    density of W = (1 + nu z)/z^2."""
+    f = RationalMap(Polynomial([0, 1, 1, a]), Polynomial([1]))
+    inv = tangency_and_residu(f, 0.0, 1, 1)
+    return f, inv, FormDensity(Polynomial([1, inv.nu]), Polynomial([0, 0, 1]))
 
-    def test_points_converge_independently(self):
-        f = parse_map("z + z^2")
-        z, seed = self.grid(f)
-        # w + w^2 = -1 has no real root and Newton keeps a real seed real,
-        # so this point is still moving at the iteration cap
-        z = np.append(z, -1.0)
-        seed = np.append(seed, 0.3)
-        w = _local_inverse(f, z, seed)
-        assert abs(f.num(w[-1]) / f.den(w[-1]) + 1.0) > 1e-3
-        for i in range(len(z) - 1):
-            alone = _local_inverse(f, z[i:i + 1], seed[i:i + 1])
-            assert w[i] == alone[0]
 
-    def test_matches_reference_newton(self):
-        f = parse_map("z + z^2")
-        z, seed = self.grid(f)
-        p, q = f.num, f.den
-        dp, dq = p.derivative(), q.derivative()
-        ref = seed.copy()
-        for _ in range(30):
-            pw, qw = p(ref), q(ref)
-            step = (pw / qw - z) / ((dp(ref) * qw - pw * dq(ref)) / (qw * qw))
-            mag = np.abs(step)
-            with np.errstate(invalid="ignore"):
-                ref = ref - np.where(mag > 0.5, 0.5 * step / mag, step)
-        w = _local_inverse(f, z, seed)
-        assert np.all(np.abs(w - ref) <= 1e-14)
+class TestBoundaryIntegral:
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 0.01, 1e-3])
+    def test_disc_closed_form_off_origin(self, eps):
+        # fixed point 0.5 of multiplier 2: the residue is log 4 for every eps
+        f = parse_map("2*z - 0.5")
+        val, converged = disc_residue(f, FormDensity.parse("1/(z - 0.5)"), 0.5, eps)
+        assert converged
+        assert abs(val - LOG4) < 1e-10
 
-    def test_blocked_indicator_matches_unblocked(self):
-        f = parse_map("z + z^2")
-        model = FatouBoxModel(f, tangency_and_residu(f, 0.0, 1, 1))
-        R = 5.0
-        r_lo, r_hi = model.boundary_radii(R)
-        n, k = 40, 32  # n * k * k points: more than one block
-        assert n * k * k > _BLOCK
-        r = np.geomspace(r_lo, r_hi, n * k).reshape(n, k, 1)
-        th = np.arange(k) * 2 * np.pi / k
-        zz = r * np.exp(1j * th)
-        blocked = _blocked_indicator(lambda z: model.indicator_diff(z, R), zz)
-        whole = model.indicator_diff(zz.reshape(-1), R).reshape(zz.shape)
-        assert blocked.shape == (n, k, k)
-        assert np.any(whole == 1) and np.any(whole == -1)
-        assert np.array_equal(blocked, whole)
+    @pytest.mark.parametrize("a", [0.5, 0.3 - 0.2j])
+    def test_fatou_family_gives_twice_re_nu(self, a):
+        # a complex nu puts cut segments on the boundary of V(R)
+        f, inv, mu = cubic_parabolic(a)
+        est = dynamical_residue(f, mu, kind="fatou", inv=inv)
+        assert est.reliable
+        assert abs(est.value - 2 * inv.nu.real) < 2e-3
+
+    def test_two_petal_families_agree(self):
+        f = parse_map("z + z^3")
+        mu = FormDensity.parse("(1 + 1.5*z^2)/z^3")
+        fatou = dynamical_residue(f, mu, kind="fatou")
+        disc = dynamical_residue(f, mu, kind="disc", params=[0.1, 0.07, 0.05])
+        assert fatou.reliable and disc.reliable
+        assert abs(fatou.value - 3.0) < 2e-3
+        assert abs(disc.value - 3.0) < 1e-6
+        assert abs(fatou.value - disc.value) < 2e-3
+
+    @pytest.mark.parametrize("a", [0.0, 1 + 1j])
+    def test_indicator_is_the_region_difference(self, a):
+        # indicator_diff(f(w)) = [w in V] - [f(w) in V] for w near dV(R)
+        f, inv, _ = cubic_parabolic(a)
+        model, R = FatouBoxModel(f, inv), 20.0
+        nodes = model.boundary(R, 256)[0]
+        f_nodes = f.num(nodes) / f.den(nodes)
+        gap = max(np.max(np.abs(np.diff(c))) for c in (nodes, f_nodes))
+        rng = np.random.default_rng(7)
+        r = np.exp(rng.uniform(np.log(0.8 * np.min(np.abs(nodes))),
+                               np.log(1.25 * np.max(np.abs(nodes))), 8000))
+        w = r * np.exp(2j * np.pi * rng.random(r.size))
+        s = model.s0(w)
+        w = w[np.abs(np.maximum(np.abs(s.real), np.abs(s.imag)) - R) < 2]
+        fw = f.num(w) / f.den(w)
+        dist = np.full(fw.size, np.inf)
+        for c in np.concatenate([nodes, f_nodes]):
+            dist = np.minimum(dist, np.abs(fw - c))
+        w, fw = w[dist > gap], fw[dist > gap]
+        got = model.indicator_diff(fw, R)
+        want = model.in_region(w, R).astype(int) - model.in_region(fw, R).astype(int)
+        assert np.any(want == 1) and np.any(want == -1)
+        assert np.array_equal(got, want)
+
+    def test_region_beyond_normal_series_is_flagged(self):
+        # nu = -i: at R = 5 the boundary of V(R) reaches |x| ~ 0.54 at the cut
+        f, inv, mu = cubic_parabolic(1 + 1j)
+        model = FatouBoxModel(f, inv)
+        assert model.boundary(5.0, 16) is None
+        _, converged = model.residue(mu, 5.0)
+        assert not converged
+        with pytest.raises(ResidueError):
+            model.indicator_diff(0.01, 5.0)
+        est = dynamical_residue(f, mu, kind="fatou", inv=inv, params=[5, 20, 24, 32])
+        assert not est.reliable
+        assert [p for p, _ in est.parameter_trace] == [20, 24, 32]

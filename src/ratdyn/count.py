@@ -100,14 +100,13 @@ class CountReport:
 
 
 def evaluate_counts(f: RationalMap, cycles, tails, split, epsilons, deltas,
-                    annotations=(), unresolved_as_cremer=True):
+                    annotations=()):
     """Assemble a CountReport from the upstream reports.
 
     epsilons: region id -> {0,1} (from epsilon_marks); deltas: cycle id ->
     {0,1} (from delta_marks).  Unresolved indifferent cycles count toward
-    CR by default (stressing the inequality surfaces classification
-    failures loudly); pass unresolved_as_cremer=False to exclude them --
-    either way a caveat records the choice.
+    CR (stressing the inequality surfaces classification failures loudly),
+    and a caveat records each one.
     """
     if f.degree < 2:
         raise CountError("counting inequalities require degree >= 2")
@@ -119,15 +118,10 @@ def evaluate_counts(f: RationalMap, cycles, tails, split, epsilons, deltas,
         elif c.cls == CLASS_CREMER:
             rep.n_CR += 1
         elif c.cls == CLASS_UNRESOLVED:
-            if unresolved_as_cremer:
-                rep.n_CR += 1
-                rep.caveats.append(
-                    f"cycle C{i} is indifferent but unresolved; counted as CR"
-                )
-            else:
-                rep.caveats.append(
-                    f"cycle C{i} is indifferent but unresolved; excluded from counts"
-                )
+            rep.n_CR += 1
+            rep.caveats.append(
+                f"cycle C{i} is indifferent but unresolved; counted as CR"
+            )
         elif c.cls in PARABOLIC_CLASSES:
             rep.n_parabolic += 1
             if c.parabolic is not None:

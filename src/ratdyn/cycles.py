@@ -133,10 +133,7 @@ class Cycle:
         return any(q.close_to(_as_point(pt), tol) for q in self.points)
 
     def representative(self):
-        """A finite cycle point when one exists (preferred chart for series work)."""
-        for q in self.points:
-            if not q.is_infinity and abs(q.value) <= 2.0:
-                return q
+        """The first finite cycle point, or ∞ when the cycle is {∞}."""
         for q in self.points:
             if not q.is_infinity:
                 return q

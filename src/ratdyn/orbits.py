@@ -167,7 +167,7 @@ class _OrbitTracker:
         self.regions = regions
         self.budget = budget
         self.petals = [
-            (i, c.parabolic, chart_coords(c.parabolic.z0.value))
+            (i, c.parabolic, c.parabolic.z0.value)
             for i, c in enumerate(cycles)
             if c.cls in PARABOLIC_CLASSES and c.parabolic is not None
         ]
@@ -202,13 +202,13 @@ class _OrbitTracker:
                               {"preperiod": prev, "loop": n - prev})
             seen[key] = n
             # parabolic petal detector
-            for i, inv, (c0, t0) in self.petals:
-                u = local_coord(z, c0, t0)
+            for i, inv, z0 in self.petals:
+                u = local_coord(z, z0)
                 if u is not None and abs(u) < 0.4:
                     x = inv.normal_series(u)
                     ax = abs(x)
                     ok = 0 < ax < abs(petal_prev.get(i, np.inf)) and (
-                        petal_sector(x, inv.e_loc, 1.02) is not None
+                        petal_sector(x, inv.e_loc) is not None
                     )
                     petal_run[i] = petal_run.get(i, 0) + 1 if ok else 0
                     petal_prev[i] = ax if ok else np.inf

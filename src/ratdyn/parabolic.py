@@ -1,7 +1,8 @@
 """Parabolic local invariants of a periodic point with root-of-unity multiplier.
 
-Given a cycle point where the first-return multiplier is a root of unity
-of order r, the return map g = f^{pr} is tangent to the identity:
+Given a cycle point z0 where the first-return multiplier is a root of
+unity of order r, the return map g = f^{pr} is tangent to the identity in
+the local coordinate z - z0 (1/z when z0 is infinity), here called z:
 
     g(z) = z + a z^{m+1} + ...   (a != 0, m = number of petals of g)
 
@@ -27,6 +28,7 @@ from .ratmap import RationalMap, SpherePoint, _as_point, local_coord
 
 UNITY_TOL = 1e-8
 UNITY_HORIZON = 64
+PETAL_SLACK = 1.02  # half-width of a petal sector, in units of pi/(2m)
 
 
 class ParabolicError(ValueError):
@@ -55,11 +57,11 @@ class ParabolicInvariants:
     index: holomorphic fixed-point index of g (independent cross-check).
     tangency_coeff: leading coefficient a of g(z) - z.
     attracting_angles / repelling_angles: local directions at the cycle
-        point, in the chart the point itself selects.
+        point, in the local coordinate u = z - z0 (u = 1/z at infinity).
     normal_series: truncated series of the normalizing coordinate x(z)
         (x = a^{1/e_loc} z + ..., bringing the invariant differential to
         (1 + nu x^m)/x^{m+1} dx).
-    g_series: truncated series of the first return in the local chart.
+    g_series: truncated series of the first return in the local coordinate.
     """
 
     z0: SpherePoint
@@ -86,11 +88,11 @@ class ParabolicInvariants:
 
 
 def local_return_series(f: RationalMap, z0, p, N):
-    """Taylor series of f^p at the period-p point z0, in local chart coordinates.
+    """Taylor series of f^p at the period-p point z0, in the local coordinate u.
 
-    Built by composing one local step series per cycle point, each
-    expressed in whichever affine chart the point selects, so the cycle
-    may pass through infinity.  The constant term (which must vanish for
+    Built by composing one local step series per cycle point, each in
+    the local coordinate about its point (u = z - z0, or 1/z at infinity),
+    so the cycle may pass through infinity.  The constant term (which must vanish for
     a periodic point) is checked small and set to exactly zero.
     """
     z0 = _as_point(z0)
@@ -104,21 +106,11 @@ def local_return_series(f: RationalMap, z0, p, N):
 
 
 def _step_series(f, zi, zo, N):
-    """Series of the local coordinate of f(z) about zo, in z's chart about zi."""
-    ci, ti = zi.chart_coords()
-    co, to = zo.chart_coords()
-    a, b = f._chart_pair(ci)
-    A = a.shifted(ti)
-    B = b.shifted(ti)
-    if co == "z":
-        num, den = A - to * B, B
-    else:
-        num, den = B - to * A, A
+    """Series of the local coordinate of f(z) about zo in the local coordinate about zi."""
+    num, den = f.local_fraction(zi, zo)
     if den.coeffs[0] == 0:
         raise ParabolicError(f"chart degeneracy expanding about {zi!r}")
-    s_num = TruncatedSeries(num.coeffs, order=N)
-    s_den = TruncatedSeries(den.coeffs, order=N)
-    out = s_num * s_den.inverse()
+    out = TruncatedSeries(num.coeffs, order=N) * TruncatedSeries(den.coeffs, order=N).inverse()
     scale = max(np.max(np.abs(out.c)), 1e-30)
     if abs(out.c[0]) > 1e-6 * scale:
         raise ParabolicError(
@@ -298,15 +290,14 @@ def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0,
     """
     m = inv.e_loc
     zz = _as_point(z)
-    c0, t0 = inv.z0.chart_coords()
     steps = inv.p * inv.r
     prev = None
     for n in range(n_iter + 1):
-        u = local_coord(zz.value, c0, t0)
+        u = local_coord(zz.value, inv.z0.value)
         if u is None or abs(u) > 0.8:
             raise ParabolicError("point escaped the parabolic chart during iteration")
         x = inv.normal_series(u)
-        if n == 0 and petal_sector(x, m, 1.15) != petal_index:
+        if n == 0 and petal_sector(x, m) != petal_index:
             raise ParabolicError("point is not in the requested petal sector")
         s0 = _model_coordinate(x, m, inv.nu)
         val = s0 - n
@@ -316,18 +307,18 @@ def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0,
     return complex(prev)
 
 
-def petal_sector(x, m, slack):
+def petal_sector(x, m):
     """Index j of the attracting sector of x, or None.
 
-    Sector j holds the arguments within slack * pi/(2m) of the attracting
-    axis (pi + 2 pi j)/m; x = 0 lies in none.  For slack < 2 the sectors
-    are disjoint, so the index is unique.
+    Sector j holds the arguments within PETAL_SLACK * pi/(2m) of the
+    attracting axis (pi + 2 pi j)/m; x = 0 lies in none.  The sectors are
+    disjoint (PETAL_SLACK < 2), so the index is unique.
     """
     if x == 0:
         return None
     for j in range(m):
         theta = (np.pi + 2 * np.pi * j) / m
-        if abs(np.angle(x * np.exp(-1j * theta))) <= slack * np.pi / (2 * m):
+        if abs(np.angle(x * np.exp(-1j * theta))) <= PETAL_SLACK * np.pi / (2 * m):
             return j
     return None
 

@@ -1,13 +1,13 @@
 """Rational self-maps of the Riemann sphere.
 
-Points are tagged finite/infinity; all arithmetic that could overflow is
-done in whichever affine chart keeps coordinates small (the w = 1/z chart
-beyond radius 2).  Maps are stored as a reduced fraction of dense
-polynomials with a monic denominator.
-
-The chart rule, the snap grid and the chart-aware distance are functions
-of raw values (a Python ``complex``, or ``None`` for infinity) so that
-orbit loops can run on raw values; ``SpherePoint`` wraps the same rules.
+Points are tagged finite/infinity.  Maps are stored as a reduced fraction
+of dense polynomials with a monic denominator.  Raw arithmetic (orbit
+steps, the snap grid, the chart-aware distance) runs in whichever affine
+chart keeps coordinates small (w = 1/z beyond radius 2); local analysis at
+a point z0 runs at 0 in u = z - z0, or u = 1/z when z0 is infinity
+(``local_coord``, ``RationalMap.local_fraction``).  Both rules act on raw
+values (a Python ``complex``, or ``None`` for infinity) so that orbit
+loops can run on raw values; ``SpherePoint`` wraps the same rules.
 """
 
 from __future__ import annotations
@@ -60,13 +60,14 @@ def distance(a, b):
     return d
 
 
-def local_coord(z, c0, t0):
-    """Raw z in the chart c0 of a base point with coordinate t0, minus t0 (None if undefined)."""
+def local_coord(z, z0):
+    """Local coordinate of raw z about raw z0: z - z0, or 1/z when z0 is ∞
+    (None where undefined)."""
+    if z0 is not None:
+        return None if z is None else z - z0
     if z is None:
-        return -t0 if c0 == "w" else None
-    if c0 == "z":
-        return z - t0
-    return 1.0 / z - t0 if z != 0 else None
+        return 0j
+    return 1.0 / z if z != 0 else None
 
 
 class SpherePoint:
@@ -199,6 +200,14 @@ class RationalMap:
         if chart == "z":
             return self.num, self.den
         return self._rnum, self._rden
+
+    def local_fraction(self, zi, zo):
+        """(A, B): A(u)/B(u) is the local coordinate of f(z) about zo as a
+        function of the local coordinate u of z about zi (see ``local_coord``)."""
+        zi, zo = _as_point(zi), _as_point(zo)
+        a, b = ((self._rnum, self._rden) if zi.is_infinity
+                else (self.num.shifted(zi.value), self.den.shifted(zi.value)))
+        return (b, a) if zo.is_infinity else (a - zo.value * b, b)
 
     def step(self, z):
         """f on a raw value (complex, or None for ∞), computed in the stable chart.

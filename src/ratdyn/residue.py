@@ -4,10 +4,13 @@ The measure mu = |W|^(2/m) "dzbar dz" is normalized as (1/pi)|W(z)|^(2/m)
 times planar Lebesgue measure; with this convention the classical linear
 benchmark (f = lambda z against |z|^-2) evaluates to log|lambda|^2.
 
-The residue is a boundary integral.  With rho the density, z0 the fixed
-point and G(z) = int_{r*}^{|z-z0|} rho(z0 + s e^{i theta}) s ds its radial
-primitive (theta = arg(z - z0)), d(G dtheta) = rho dA off z0, so by Stokes,
-for a region V about z0 with positively oriented boundary gamma,
+The residue is a boundary integral, taken at 0 in the local coordinate u
+of the fixed point z0 (z - z0, or 1/z when z0 is infinity): f is
+conjugated to u and the density pulled back exactly, which leaves the
+residue unchanged.  With rho the density in u and G(u) =
+int_{r*}^{|u|} rho(s e^{i theta}) s ds its radial primitive (theta =
+arg u), d(G dtheta) = rho dA off 0, so by Stokes, for a region V about 0
+with positively oriented boundary gamma,
 
     Res_f^V = oint_{f o gamma} G dtheta - oint_gamma G dtheta.
 
@@ -17,11 +20,11 @@ gamma.  G is integrated by Gauss-Legendre in log s, the curves by the
 trapezoid rule (circles) or by Gauss-Legendre pieces; the node count
 doubles until two values agree to _TOL within `budget` density evaluations.
 A region whose nodes do not converge, or whose gamma or f o gamma does not
-wind once about z0, is not integrated but reported unconverged.
+wind once about 0, is not integrated but reported unconverged.
 
 Two region families are provided:
 
-* Disc: V = the eps-disc about a fixed point.
+* Disc: V = {|u| < eps} about a fixed point.
 
 * FatouBox: for a parabolic point, V(R) is the pullback of
   {max(|Re s0|, |Im s0|) > R} under the approximate Fatou coordinate
@@ -54,7 +57,7 @@ import numpy as np
 from .kernel import Polynomial, horner_with_derivative
 from .parabolic import ParabolicInvariants, _model_coordinate, tangency_and_residu
 from .parser import ExprParser
-from .ratmap import RationalMap, _as_point
+from .ratmap import RationalMap, _as_point, _rev_pad
 
 QUAD_BUDGET = 1_000_000
 _TOL = 1e-10  # agreement of a region's value under node doubling
@@ -131,30 +134,41 @@ def _gauss(n):
     return x, w
 
 
-def _boundary_residue(f, mu, z0, z, dz, w):
+def _local_density(mu, z0):
+    """mu in the local coordinate u about z0, pulled back exactly: W(z0 + u),
+    or W(1/u) u^(-2m) at infinity (its modulus carries |dz/du|^2 = |u|^-4)."""
+    z0 = _as_point(z0)
+    if not z0.is_infinity:
+        return FormDensity(mu.w_num.shifted(z0.value), mu.w_den.shifted(z0.value), mu.m)
+    d = max(mu.w_num.degree, mu.w_den.degree)
+    u_2m = Polynomial([0] * 2 * mu.m + [1])
+    return FormDensity(_rev_pad(mu.w_num, d), _rev_pad(mu.w_den, d) * u_2m, mu.m)
+
+
+def _boundary_residue(f, mu, u, du, w):
     """(oint_{f o gamma} G dtheta - oint_gamma G dtheta, both curves wind once
-    about z0) from the nodes z, velocities dz and weights w of gamma."""
-    p, dp = horner_with_derivative(f.num.coeffs, z)
-    q, dq = horner_with_derivative(f.den.coeffs, z)
-    lo = np.log(np.min(np.abs(z - z0)))  # r*: any constant cancels
+    about 0) from the nodes u, velocities du and weights w of gamma, for the
+    map A/B with f = (A, B) (``RationalMap.local_fraction``)."""
+    p, dp = horner_with_derivative(f[0].coeffs, u)
+    q, dq = horner_with_derivative(f[1].coeffs, u)
+    lo = np.log(np.min(np.abs(u)))  # r*: any constant cancels
     gx, gw = _gauss(_RADIAL)
     out = []
-    for c, dc in ((z, dz), (p / q, (dp * q - p * dq) / (q * q) * dz)):
-        u = c - z0
-        hi = np.log(np.abs(u))[:, None]
+    for c, dc in ((u, du), (p / q, (dp * q - p * dq) / (q * q) * du)):
+        hi = np.log(np.abs(c))[:, None]
         ray = np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * gx)
-        g = (0.5 * (hi - lo) * mu.density(z0 + ray * (u / np.abs(u))[:, None]) * ray**2) @ gw
-        dtheta = w * np.imag(dc / u)
+        g = (0.5 * (hi - lo) * mu.density(ray * (c / np.abs(c))[:, None]) * ray**2) @ gw
+        dtheta = w * np.imag(dc / c)
         out.append((g @ dtheta, np.rint(np.sum(dtheta) / (2 * np.pi))))
     (inner, turn), (outer, f_turn) = out
     return float(outer - inner), bool(turn == f_turn == 1)
 
 
-def _refined(trace, f, mu, z0, n, budget):
-    """(value, converged) on the curves trace(n), doubling n until two values
-    agree to _TOL.  The first curve is always integrated; each further one
-    only if its density evaluations still fit in budget.  value is NaN when
-    the first curve cannot be traced or does not wind once about z0."""
+def _refined(trace, f, mu, n, budget):
+    """(value, converged) on the curves trace(n) about 0, doubling n until two
+    values agree to _TOL.  The first curve is always integrated; each further
+    one only if its density evaluations still fit in budget.  value is NaN
+    when the first curve cannot be traced or does not wind once about 0."""
     value, used = float("nan"), 0
     while True:
         curve = trace(n)
@@ -162,7 +176,7 @@ def _refined(trace, f, mu, z0, n, budget):
         if curve is None or (used and used + cost > budget):
             return value, False
         used += cost
-        new, once = _boundary_residue(f, mu, z0, *curve)
+        new, once = _boundary_residue(f, mu, *curve)
         if not once:
             return value, False
         if abs(new - value) <= _TOL * max(1.0, abs(new)):
@@ -194,17 +208,15 @@ def _gauss_pieces(ends, n):
 
 
 def disc_residue(f: RationalMap, mu: FormDensity, center, eps, budget=QUAD_BUDGET):
-    """(Res_f^V, converged) for V the eps-disc about a fixed point."""
-    z0 = _as_point(center)
-    if z0.is_infinity:
-        raise ResidueError("disc family at infinity is not supported")
-    z0 = z0.value
+    """(Res_f^V, converged) for V = {|u| < eps} about a fixed point, u its
+    local coordinate."""
 
     def circle(n):
-        e = eps * np.exp(2j * np.pi * np.arange(n) / n)
-        return z0 + e, 1j * e, np.full(n, 2 * np.pi / n)
+        u = eps * np.exp(2j * np.pi * np.arange(n) / n)
+        return u, 1j * u, np.full(n, 2 * np.pi / n)
 
-    return _refined(circle, f, mu, z0, 64, budget)
+    f = f.local_fraction(center, center)
+    return _refined(circle, f, _local_density(mu, center), 64, budget)
 
 
 def _cut_radius(c, a):
@@ -222,32 +234,30 @@ class FatouBoxModel:
     """Region machinery of the approximate Fatou coordinate s0 at one
     parabolic point (see the module docstring).  The map whose dynamics
     define f(V) may differ from the map that produced the parabolic data
-    (e.g. an iterate of it)."""
+    (e.g. an iterate of it).  self.f = (A, B) is that map as A/B in the
+    local coordinate u about the point, and the region methods take and
+    return u."""
 
     def __init__(self, f: RationalMap, inv: ParabolicInvariants):
-        self.f = f
+        self.z0 = inv.z0
+        self.f = f.local_fraction(inv.z0, inv.z0)
         self.m = inv.e_loc
         self.nu = inv.nu
         self.xser = inv.normal_series
-        c0, t0 = inv.z0.chart_coords()
-        if c0 != "z":
-            raise ResidueError("FatouBox requires a finite parabolic point")
-        self.z0 = t0
 
-    def s0(self, z):
+    def s0(self, u):
         """Approximate Fatou coordinate, principal log (cut on repelling axes)."""
-        u = np.asarray(z, dtype=complex) - self.z0
-        x = self.xser(u)
+        x = self.xser(np.asarray(u, dtype=complex))
         with np.errstate(divide="ignore", invalid="ignore"):
             return _model_coordinate(x, self.m, self.nu)
 
-    def in_region(self, z, R):
-        s = self.s0(z)
+    def in_region(self, u, R):
+        s = self.s0(u)
         val = np.maximum(np.abs(s.real), np.abs(s.imag))
         return np.where(np.isfinite(val), val, np.inf) > R
 
     def boundary(self, R, n):
-        """(z, dz, w): nodes, velocities and weights of the positively oriented
+        """(u, du, w): nodes, velocities and weights of the positively oriented
         boundary of V(R), n Gauss-Legendre nodes per piece; None if it cannot
         be traced."""
         m, k = self.m, self.nu / self.m
@@ -283,19 +293,21 @@ class FatouBoxModel:
             u = u - (self.xser(u) - x) / dser(u)
         if not np.all(np.abs(self.xser(u) - x) <= 1e-12 * np.abs(x)):
             return None
-        return self.z0 + u, -dx / dser(u), w
+        return u, -dx / dser(u), w
 
-    def indicator_diff(self, z, R):
+    def indicator_diff(self, u, R):
         """+1 on f(V(R)) \\ V(R), -1 on V(R) \\ f(V(R)), else 0: the winding
-        numbers wind(f o dV(R), z) - wind(dV(R), z) on the traced nodes."""
+        numbers wind(f o dV(R), u) - wind(dV(R), u) on the traced nodes."""
         curve = self.boundary(R, 256)
         if curve is None:
             raise ResidueError(f"boundary of V({R}) cannot be traced")
-        return _winding(self.f.num(curve[0]) / self.f.den(curve[0]), z) - _winding(curve[0], z)
+        a, b = self.f
+        return _winding(a(curve[0]) / b(curve[0]), u) - _winding(curve[0], u)
 
     def residue(self, mu: FormDensity, R, budget=QUAD_BUDGET):
-        """(Res^{V(R)}, converged) under the dynamics of self.f."""
-        return _refined(lambda n: self.boundary(R, n), self.f, mu, self.z0, 16, budget)
+        """(Res^{V(R)}, converged) under the dynamics of f, for mu in z."""
+        mu = _local_density(mu, self.z0)
+        return _refined(lambda n: self.boundary(R, n), self.f, mu, 16, budget)
 
 
 def _linearizable(f, center):
@@ -317,14 +329,6 @@ def _region_sample(f, mu, kind, param, center, inv, budget):
             inv = tangency_and_residu(f, _as_point(center), 1, 1)
         return FatouBoxModel(f, inv).residue(mu, param, budget)
     raise ResidueError(f"unknown region kind {kind!r}")
-
-
-def residue_for_region(f: RationalMap, mu: FormDensity, kind, param, center=0.0,
-                       inv: ParabolicInvariants | None = None, budget=QUAD_BUDGET):
-    """Signed residue for one region instance: kind 'disc' (param eps) or
-    'fatou' (param R)."""
-    value, _ = _region_sample(f, mu, kind, param, center, inv, budget)
-    return value
 
 
 def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,

@@ -13,12 +13,11 @@ LAM_G = np.exp(2j * np.pi * GOLDEN)
 C_G = LAM_G / 2 - LAM_G**2 / 4
 
 
-def full_audit(expr, params=None, anns=(), max_period=2, budget=50_000,
-               **kwargs):
+def full_audit(expr, params=None, anns=(), max_period=2, budget=50_000):
     f = parse_map(expr, params)
     run = run_pipeline(f, anns, max_period, budget)
     return evaluate_counts(f, run.cycles, run.tails, run.split, run.epsilons, run.deltas,
-                           anns, **kwargs)
+                           anns)
 
 
 class TestBasics:
@@ -67,12 +66,6 @@ class TestJudgementCalls:
         rep = full_audit("z^2 + c", {"c": C_G}, max_period=1)
         assert rep.n_CR == 1
         assert any("unresolved" in c for c in rep.caveats)
-
-    def test_unresolved_can_be_excluded(self):
-        rep = full_audit("z^2 + c", {"c": C_G}, max_period=1,
-                         unresolved_as_cremer=False)
-        assert rep.n_CR == 0
-        assert any("excluded" in c for c in rep.caveats)
 
     def test_lattes_caveat(self):
         rep = full_audit("(z^2+1)^2 / (4*z^3 - 4*z)",

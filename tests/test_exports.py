@@ -21,3 +21,11 @@ def readme_entry_points():
 
 def test_all_matches_readme():
     assert set(ratdyn.__all__) - {"__version__"} == readme_entry_points()
+
+
+def test_chart_rule_stays_in_raw_arithmetic():
+    # local analysis expands in ratmap.local_coord; the radius-2 chart rule
+    # serves only the raw arithmetic of ratmap and the outputs of orbits
+    src = Path(ratdyn.__file__).parent
+    users = {p.stem for p in src.glob("*.py") if "chart_coords" in p.read_text()}
+    assert users <= {"ratmap", "orbits"}

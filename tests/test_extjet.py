@@ -67,6 +67,14 @@ class TestParabolicJets:
         assert (ker, coker) == (1, 3)  # e = 2 petals of the first return
         assert stabilized
 
+    @pytest.mark.parametrize("z0", [3.0, 5.0])
+    def test_translated_point_matches_origin(self, z0):
+        # z + (z - z0)^2 at z0 is conjugate to z + z^2 at 0 by a translation
+        at_zero = jet_e1(parse_map("z + z^2"), JetSpec(site="cycle", point=0.0, order=6))
+        spec = JetSpec(site="cycle", point=z0, period=1, order=6)
+        assert jet_e1(parse_map(f"z + (z - {z0})^2"), spec) == at_zero
+        assert at_zero[:2] == (1, 2)
+
     def test_two_jets_truncation(self):
         f = parse_map("z + z^2")
         spec = JetSpec(site="cycle", point=0.0, period=1, jet_kind=TWO_JETS)

@@ -55,6 +55,13 @@ class TestClassification:
         assert t.classification == KIND_TAME
         assert cycles[int(t.target[1:])].cls.startswith("Parabolic")
 
+    def test_parabolic_basin_beyond_radius_two_is_tame(self):
+        # the petal detector expands at u = z - 5, not in the 1/z chart
+        _, cycles, tails, _ = pipeline("z + (z - 5)^2", max_period=1)
+        t = tail_of(tails, 4.5)
+        assert t.classification == KIND_TAME
+        assert cycles[int(t.target[1:])].cls.startswith("Parabolic")
+
     def test_two_petal_map_has_two_tame_tails(self):
         _, _, tails, split = pipeline("z + z^3")
         tame = [t for t in tails if t.classification == KIND_TAME]

@@ -57,6 +57,9 @@ class TestFrozenResidues:
         ("z^2 + 1/4", 0.5, 1, 1, 1, 1.0 + 0j),
         ("z^2 - 3/4", -0.5, 1, 2, 2, 1.375 + 0j),
         ("z / (1 + z)", 0.0, 1, 1, 1, 0.0 + 0j),
+        # expanded at u = z - z0 however far z0 lies, and at u = 1/z at infinity
+        *[(f"z + (z - {z0})^2", z0, 1, 1, 1, 1.0 + 0j) for z0 in (1.9, 2.1, 2.5, 2.8, 3.0, 5.0, 100.0)],
+        ("z + 1 + 1/z", SpherePoint.infinity(), 1, 1, 1, 1.0 + 0j),
     ]
 
     @pytest.mark.parametrize("expr,z0,p,r,e_loc,nu", CASES)
@@ -152,7 +155,7 @@ class TestFatouCoordinate:
             fatou_coordinate(f, inv, 0.1)  # repelling direction
 
     def test_origin_against_point_in_w_chart(self):
-        # z = 0 has no coordinate in the w = 1/z chart of the parabolic point
+        # z = 0 has no local coordinate u = 1/z about the parabolic point
         # at infinity: a typed error, not a division by zero
         f = parse_map("z + 1 + 1/z")
         inv = tangency_and_residu(f, SpherePoint.infinity(), 1, 1)

@@ -41,11 +41,21 @@ class TestSpherePoint:
             assert again.close_to(pt)
 
     def test_local_coord_across_charts(self):
-        assert local_coord(0j, "w", 0.1) is None  # 1/0 has no coordinate
-        assert local_coord(None, "z", 0.5) is None
-        assert local_coord(None, "w", 0.1) == -0.1
-        assert local_coord(4.0, "w", 0.1) == 0.25 - 0.1
-        assert local_coord(3.0, "z", 1.0) == 2.0
+        assert local_coord(0j, None) is None  # 1/0 has no coordinate
+        assert local_coord(None, 0.5) is None
+        assert local_coord(None, None) == 0
+        assert local_coord(4.0, None) == 0.25
+        assert local_coord(3.0, 1.0) == 2.0
+        assert local_coord(7.0, 5.0) == 2.0  # z - z0 beyond radius 2 too
+
+    @pytest.mark.parametrize("zi,zo", [(3.0, 0.5), (0.5, None), (None, 5.0), (None, None)])
+    def test_local_fraction_is_f_in_local_coordinates(self, zi, zo):
+        f = parse_map("(z^3 + (0.3+0.2i)*z - 1)/(z^2 + 0.7i)")
+        a, b = f.local_fraction(zi, zo)
+        for u in (0.05, -0.02 + 0.03j):
+            z = zi + u if zi is not None else 1.0 / u
+            want = local_coord(f.step(z), zo)
+            assert abs(a(u) / b(u) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestParseAndEvaluate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ratdyn.kernel import Polynomial
-from ratdyn.ratmap import RationalMap, parse_map
+from ratdyn.ratmap import RationalMap, SpherePoint, parse_map
 from ratdyn.parabolic import tangency_and_residu
 from ratdyn.residue import (
     FatouBoxModel,
@@ -12,7 +12,6 @@ from ratdyn.residue import (
     ResidueError,
     disc_residue,
     dynamical_residue,
-    residue_for_region,
     trace_csv_rows,
 )
 
@@ -59,8 +58,8 @@ class TestLinearizableResidue:
         # the same limit from the disc family and the fatou-style fallback
         f = parse_map("2*z")
         mu = FormDensity.parse("1/z")
-        v_disc = residue_for_region(f, mu, "disc", 0.1)
-        v_fatou = residue_for_region(f, mu, "fatou", 3)
+        v_disc, _ = disc_residue(f, mu, 0, 0.1)
+        v_fatou = dynamical_residue(f, mu, kind="fatou", params=[3]).value
         assert abs(v_disc - v_fatou) < 1e-6
 
     def test_single_region_matches_limit(self):
@@ -179,3 +178,36 @@ class TestBoundaryIntegral:
         est = dynamical_residue(f, mu, kind="fatou", inv=inv, params=[5, 20, 24, 32])
         assert not est.reliable
         assert [p for p, _ in est.parameter_trace] == [20, 24, 32]
+
+
+class TestLocalCoordinate:
+    """Regions are taken about 0 in u = z - z0 (u = 1/z at infinity), so a
+    conjugation by translation leaves every residue unchanged."""
+
+    @pytest.mark.parametrize("z0", [3.0, 5.0])
+    @pytest.mark.parametrize("kind", ["fatou", "disc"])
+    def test_translated_cubic_parabolic(self, z0, kind):
+        f0, _, mu0 = cubic_parabolic(0.5)
+        f = parse_map(f"{z0} + (z-{z0}) + (z-{z0})^2 + 0.5*(z-{z0})^3")
+        mu = FormDensity.parse(f"(1 + 0.5*(z-{z0}))/(z-{z0})^2")
+        at_zero = dynamical_residue(f0, mu0, kind=kind, center=0.0)
+        moved = dynamical_residue(f, mu, kind=kind, center=z0)
+        assert moved.reliable == at_zero.reliable
+        assert abs(moved.value - at_zero.value) < 1e-12
+
+    def test_disc_at_infinity(self):
+        # u = 1/z conjugates z/2 to 2u and pulls 1/z back to 1/u
+        val, converged = disc_residue(parse_map("z/2"), FormDensity.parse("1/z"),
+                                      SpherePoint.infinity(), 0.1)
+        assert converged
+        assert abs(val - LOG4) < 1e-10
+
+    def test_fatou_at_infinity_matches_conjugate_at_zero(self):
+        # u = 1/z conjugates z + 1 + 1/z to u/(1 + u + u^2) and pulls
+        # W = (z + 1)/z back to (1 + u)/u^2
+        at_inf = dynamical_residue(parse_map("z + 1 + 1/z"), FormDensity.parse("(z + 1)/z"),
+                                   kind="fatou", center=SpherePoint.infinity())
+        at_zero = dynamical_residue(parse_map("z/(1 + z + z^2)"),
+                                    FormDensity.parse("(1 + z)/z^2"), kind="fatou", center=0.0)
+        assert at_inf.reliable
+        assert abs(at_inf.value - at_zero.value) < 1e-12

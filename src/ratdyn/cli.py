@@ -189,7 +189,7 @@ def _cmd_residue(args):
         f,
         mu,
         kind=args.family,
-        center=_parse_complex(args.center),
+        center=_parse_point(args.center),
         params=family_params,
         budget=args.budget,
     )
@@ -323,7 +323,7 @@ def build_parser():
     sp.add_argument("--family", choices=("fatou", "disc"), default="fatou")
     sp.add_argument("--family-param", action="append", metavar="VALUE",
                     help="region size parameter (repeatable; default schedule)")
-    sp.add_argument("--center", default="0", help="fixed point (complex)")
+    sp.add_argument("--center", default="0", help="fixed point (complex, or inf)")
     sp.add_argument("--budget", type=int, default=QUAD_BUDGET,
                     help="density evaluations per region for the node doubling")
     sp.add_argument("--trace-csv", help="write the parameter trace CSV here")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import rank_nullity, nullspace, ALGEBRAIC_TOL
-from .parabolic import local_return_series, _self_compose
+from .parabolic import _first_return
 from .ratmap import RationalMap, _as_point
 from .series import TruncatedSeries
 
@@ -136,9 +136,7 @@ def jet_e1(f: RationalMap, spec: JetSpec, r=1, tol=ALGEBRAIC_TOL):
     N = 1 if spec.jet_kind == TWO_JETS else spec.order
     pad = max(N, 4)
     M = N + pad
-    g = local_return_series(f, _as_point(spec.point), spec.period, M + 2)
-    if r > 1:
-        g = _self_compose(g, r)
+    g = _first_return(f, _as_point(spec.point), spec.period, r, M + 2)
     ker, coker = jet_e1_series(g, N, pad, tol)
     if N >= 2:
         ker_prev, coker_prev = jet_e1_series(g, N - 1, pad + 1, tol)

@@ -9,12 +9,15 @@ the local coordinate z - z0 (1/z when z0 is infinity), here called z:
 The module computes m, the attracting/repelling directions, and the
 iterative residue nu — the unique constant for which the formal
 differential (1 + nu x^m) / x^{m+1} dx admits an invariant realization
-under g.  nu is found by solving W(g(z)) g'(z) = W(z) for a formal
-Laurent field W with prescribed leading coefficient; nu is then the
-z^{-1} coefficient of W, and an independent cross-check value (the
-holomorphic fixed-point index, the residue of dz/(z - g(z))) is computed
-alongside.  Approximate Fatou coordinates with Abel property s(g(z)) =
-s(z) + 1 are built from the same data.
+under g.  The equation W(g(z)) g'(z) = W(z) for a formal Laurent field W
+with prescribed leading coefficient is triangular, so one forward
+substitution gives every coefficient of W; nu is its z^{-1} coefficient.
+A second forward substitution gives the normalizing coordinate x(z).
+The holomorphic fixed-point index (the residue of dz/(z - g(z))) is
+computed from the same series by a separate routine, so
+nu = (m+1)/2 - index checks the routines, not the series against the map.
+Approximate Fatou coordinates with Abel property s(g(z)) = s(z) + 1 are
+built from the same data.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class ParabolicInvariants:
     e_loc: petal count of the first return g = f^{pr} (tangency order
         e_loc + 1); for the underlying map this is r * (petals per cycle).
     nu: the iterative residue of g.
-    index: holomorphic fixed-point index of g (independent cross-check).
+    index: holomorphic fixed-point index of g, from the same series as nu.
     tangency_coeff: leading coefficient a of g(z) - z.
     attracting_angles / repelling_angles: local directions at the cycle
         point, in the local coordinate u = z - z0 (u = 1/z at infinity).
@@ -120,11 +123,13 @@ def _step_series(f, zi, zo, N):
     return out
 
 
-def _self_compose(g, times):
-    out = g
-    for _ in range(times - 1):
-        out = g.compose(out)
-    return out
+def _first_return(f, z0, p, r, N):
+    """Series of g = f^{pr} at the period-p point z0, at order N."""
+    step = local_return_series(f, z0, p, N)
+    g = step
+    for _ in range(r - 1):
+        g = step.compose(g)
+    return g
 
 
 def _tangency_order(g, rel_tol=1e-6):
@@ -140,41 +145,28 @@ def _tangency_order(g, rel_tol=1e-6):
     raise ParabolicError("tangency order exceeds the truncation budget")
 
 
-def _laurent_field_solve(g, m, a, N):
-    """Solve W(g(z)) g'(z) = W(z) for Laurent W = sum_{k>=-(m+1)} w_k z^k.
+def _invariant_field(g, m, a, N):
+    """Laurent coefficients of W with W(g(z)) g'(z) = W(z), by forward substitution.
 
-    The leading coefficient w_{-(m+1)} is pinned to 1/a (so that W dz is
-    the invariant differential in the normalization with x'(0)-scaling
-    absorbed); the system then determines w_{-1} = nu uniquely.  Returns
-    the coefficient vector w[-(m+1)..K] as (offset m+1, numpy array).
+    W = sum_{k>=-(m+1)} w_k z^k with w_{-(m+1)} pinned to 1/a.  Cleared by
+    z^{m+1}, the equation is sum_k w_k z^{k+m+1} (u^k g' - 1) = 0 with
+    u = g/z; the k-th term starts at order k + 2m + 1 with pivot (k + m + 1) a,
+    so each w_k follows from the lower ones, and nu = w_{-1}.  Returns
+    w[i] = w_{i-(m+1)} for i < N; a w_k whose pivot order lies past z^{N-1}
+    stays zero.
     """
-    # u(z) = g(z)/z  (unit series), so g^k = z^k u^k for any integer k
     u = TruncatedSeries(g.c[1:], order=N - 1)
     gp = g.derivative().truncate(N - 1)
-    K = N - m - 2  # top Laurent index carried
-    ks = list(range(-(m + 1), K + 1))
-    n_orders = N  # coefficients of z^0 .. z^{N-1} after clearing z^{m+1}
-    cols = []
-    for k in ks:
-        # z^{m+1} * (w_k z^k u^k g' - w_k z^k) = w_k z^{k+m+1} (u^k g' - 1)
-        vec = (u**k * gp - 1.0).c
-        col = np.zeros(n_orders, dtype=complex)
-        shift = k + m + 1
-        take = min(len(vec), n_orders - shift)
-        if take > 0:
-            col[shift : shift + take] = vec[:take]
-        cols.append(col)
-    M = np.stack(cols, axis=1)
-    lead = 1.0 / a
-    rhs = -lead * M[:, 0]
-    sol, *_ = np.linalg.lstsq(M[:, 1:], rhs, rcond=None)
-    resid = M[:, 1:] @ sol - rhs
-    if np.max(np.abs(resid)) > 1e-6 * max(1.0, abs(lead)):
-        raise ParabolicError(
-            f"invariant-field solve did not converge (residual {np.max(np.abs(resid)):.2e})"
-        )
-    w = np.concatenate([[lead], sol])
-    return m + 1, w
+    w = np.zeros(N, dtype=complex)
+    w[0] = 1.0 / a
+    resid = np.zeros(N, dtype=complex)  # cleared equation at orders 0 .. N-1
+    uk = u.inverse() ** (m + 1)  # u^k for k = i - (m+1)
+    for i in range(N - m):
+        if i > 0:
+            w[i] = -resid[i + m] / (i * a)
+        resid[i:] += w[i] * (uk * gp - 1.0).c[: N - i]
+        uk = uk * u
+    return w
 
 
 def _fixed_point_index(g, m, a, N):
@@ -188,56 +180,35 @@ def _fixed_point_index(g, m, a, N):
     inv = unit.inverse()
     if m <= inv.order:
         return complex(-(1.0 / a) * inv.c[m])
-    raise ParabolicError("truncation too short for the index cross-check")
+    raise ParabolicError("truncation too short for the index and nu")
 
 
-def _normalizing_series(w_offset, w, m, nu, N):
+def _normalizing_series(w, m, N):
     """x(z) with (x^{-(m+1)} + nu x^{-1}) x'(z) = W(z), x = alpha z + ...
 
-    alpha^m = 1/w_lead ... precisely alpha = a^{1/m} for leading coefficient
-    a = 1/w[-(m+1)], principal branch.  Solved by sweep relaxation on the
-    unit part of x; the j-th coefficient controls the residual at Laurent
-    order j - m - 1 with weight (j - m), so j = m is skipped (that degree
-    of freedom is exactly nu).
+    alpha = a^{1/m} (principal branch) for a = 1/w_{-(m+1)}, and
+    nu = w_{-1}.  With x = alpha z v(z), v = 1 + c_1 z + ..., the residual
+    at Laurent order j - (m+1) is affine in c_j with slope alpha^{-m} (j - m)
+    once c_1 .. c_{j-1} are fixed, and no later c_i enters it.  One ordered
+    pass, evaluating the residual only up to that order, therefore fixes
+    every c_j.  j = m is skipped: that degree of freedom is exactly nu.
     """
     a = 1.0 / w[0]
+    nu = w[m]
     alpha = a ** (1.0 / m)
-    # x(z) = alpha * z * v(z), v = 1 + c_1 z + ...
+    scale = alpha ** (-m)
     c = np.zeros(N, dtype=complex)
     c[0] = 1.0
-    w_full = np.zeros(m + 1 + N, dtype=complex)
-    w_full[: len(w)] = w[: len(w_full)]
-    for _ in range(60):
-        v = TruncatedSeries(c, order=N - 1)
-        x_over_z = alpha * v
-        xp = (TruncatedSeries.identity(N) * v.truncate(N)).derivative() * alpha
-        # F(x) x' where F(x) = x^{-(m+1)} + nu x^{-1}
-        lead_part = (x_over_z ** (-(m + 1))) * xp.truncate(N - 1)  # * z^{-(m+1)}
-        res_part = (x_over_z ** (-1)) * xp.truncate(N - 1) * nu  # * z^{-1}
-        # Laurent coefficients at order q, q from -(m+1):
-        resid = np.zeros(m + 1 + N, dtype=complex)
-        resid[: len(lead_part.c)] += lead_part.c  # index i is order i-(m+1)
-        resid[m : m + len(res_part.c)] += res_part.c  # index m+i is order i-1
-        resid -= w_full
-        worst = 0.0
-        for j in range(1, N):
-            if j == m:
-                continue
-            # coefficient c_j acts at Laurent order j-(m+1) = index j
-            upd = resid[j] / (alpha ** (-m) * (j - m))
-            c[j] -= upd
-            worst = max(worst, abs(upd))
-        if worst < 1e-13:
-            break
-    return TruncatedSeries(_shift_in_z(alpha, c, N))
-
-
-def _shift_in_z(alpha, c, N):
-    """Coefficient vector of x(z) = alpha z (c_0 + c_1 z + ...) at order N."""
-    out = np.zeros(N + 1, dtype=complex)
-    take = min(len(c), N)
-    out[1 : 1 + take] = alpha * c[:take]
-    return out
+    for j in range(1, N):
+        if j == m:
+            continue
+        vinv = TruncatedSeries(c[: j + 1]).inverse()  # c_j is still zero
+        xp = TruncatedSeries(c[: j + 1] * np.arange(1, j + 2))  # (z v)'
+        resid = scale * (vinv ** (m + 1) * xp)[j] - w[j]
+        if j > m:
+            resid += nu * (vinv * xp)[j - m]
+        c[j] = -resid / (scale * (j - m))
+    return TruncatedSeries(np.concatenate([[0.0], alpha * c]))
 
 
 def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
@@ -247,24 +218,20 @@ def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
     once the tangency order is known (at least 3(m+1)).
     """
     z0 = _as_point(z0)
-    probe = local_return_series(f, z0, p, 12 if N is None else N)
-    if r > 1:
-        probe = _self_compose(probe, r)
-    m, a = _tangency_order(probe)
-    if N is None:
-        N = max(3 * (m + 1), 12)
-    g = local_return_series(f, z0, p, N)
-    if r > 1:
-        g = _self_compose(g, r)
+    g = _first_return(f, z0, p, r, 12 if N is None else N)
     m, a = _tangency_order(g)
-    offset, w = _laurent_field_solve(g, m, a, N)
-    nu = complex(w[offset - 1])  # index of z^{-1}
+    if N is None and 3 * (m + 1) > g.order:
+        g = _first_return(f, z0, p, r, 3 * (m + 1))
+        m, a = _tangency_order(g)
+    N = g.order
+    w = _invariant_field(g, m, a, N)
+    nu = complex(w[m])  # w_{-1}
     index = _fixed_point_index(g, m, a, N)
     # directions: attracting where a z^m is real negative
     arg_a = np.angle(a)
     attract = [float((np.pi - arg_a + 2 * np.pi * j) / m % (2 * np.pi)) for j in range(m)]
     repel = [float((-arg_a + 2 * np.pi * j) / m % (2 * np.pi)) for j in range(m)]
-    xser = _normalizing_series(offset, w, m, nu, N)
+    xser = _normalizing_series(w, m, N)
     return ParabolicInvariants(
         z0=z0,
         p=p,

@@ -316,17 +316,17 @@ def _linearizable(f, center):
     return mod if abs(mod - 1.0) > 1e-8 else None
 
 
-def _region_sample(f, mu, kind, param, center, inv, budget):
-    """(value, converged) for one region instance."""
+def _region_sample(f, mu, kind, param, center, mod, inv, budget):
+    """(value, converged) for one region instance.
+
+    mod is |lambda| at a linearizable fatou center (None when parabolic).
+    """
     if kind == "disc":
         return disc_residue(f, mu, center, param, budget)
     if kind == "fatou":
-        mod = _linearizable(f, center)
         if mod is not None:
             # linearizable point: the model region is the |lam|^-R disc
             return disc_residue(f, mu, center, min(mod, 1.0 / mod) ** param, budget)
-        if inv is None:
-            inv = tangency_and_residu(f, _as_point(center), 1, 1)
         return FatouBoxModel(f, inv).residue(mu, param, budget)
     raise ResidueError(f"unknown region kind {kind!r}")
 
@@ -336,20 +336,25 @@ def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
     """Extrapolated residue along a shrinking region family.
 
     params: decreasing eps grid (disc) or increasing R grid (fatou).
+    inv: the parabolic package at center; computed once here when the
+    fatou family needs it and none is given.
     """
+    mod = _linearizable(f, center) if kind == "fatou" else None
     if params is None:
         if kind == "disc":
             params = [0.2, 0.1, 0.05, 0.025]
-        elif _linearizable(f, center) is None:
+        elif mod is None:
             # at small R the boundary of V(R) reaches beyond the normal series
             params = [20.0, 24.0, 32.0, 40.0, 48.0]
         else:
             # keeps eps = |lambda|^-R above the rounding level of the point
             params = [5.0, 6.0, 8.0, 10.0, 12.0]
+    if kind == "fatou" and mod is None and inv is None:
+        inv = tangency_and_residu(f, _as_point(center), 1, 1)
     trace, notes = [], []
     all_converged = True
     for p in params:
-        v, ok = _region_sample(f, mu, kind, p, center, inv, budget)
+        v, ok = _region_sample(f, mu, kind, p, center, mod, inv, budget)
         all_converged = all_converged and ok
         if np.isfinite(v):  # a region that was not traced has no value
             trace.append((float(p), float(v)))

@@ -70,6 +70,15 @@ class TestPipelines:
         assert obj["C0"]["e_loc"] == 2
         assert abs(obj["C0"]["nu"][0] - 1.5) < 1e-9
 
+    def test_parabolic_large_nu(self, capsys):
+        # nu = 1 - a for z + z^2 + a z^3
+        code, out, _ = run_cli(
+            capsys, "parabolic", "--map", "z + z^2 - 10*z^3", "--max-period", "1"
+        )
+        assert code == 0
+        nu = json.loads(out)["parabolic"]["C0"]["nu"]
+        assert abs(nu[0] - 11) < 1e-9 and abs(nu[1]) < 1e-9
+
     def test_ext_global(self, capsys):
         code, out, _ = run_cli(capsys, "ext", "--map", "z^2")
         assert code == 0
@@ -159,6 +168,16 @@ class TestPipelines:
         assert abs(obj["value"] - 1.3862944) < 1e-2
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "param,value" and len(lines) == 3
+
+    def test_residue_center_at_infinity(self, capsys):
+        # u = 1/z conjugates 2z to u/2, and 1/z pulls back to -1/u: the
+        # residue of z/2 at 0, -log 4
+        code, out, _ = run_cli(
+            capsys, "residue", "--map", "2*z", "--form", "1/z", "--family", "disc",
+            "--center", "inf",
+        )
+        assert code == 0
+        assert abs(json.loads(out)["value"] + 1.3862943611198906) < 1e-12
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.json"

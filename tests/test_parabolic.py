@@ -46,8 +46,8 @@ class TestLocalReturnSeries:
 
 
 class TestFrozenResidues:
-    """Iterative residues of reference maps, frozen from two independent
-    derivations (the invariant-field solve and the fixed-point index)."""
+    """Iterative residues of reference maps, frozen from the closed forms
+    and checked against the fixed-point index of the same series."""
 
     CASES = [
         ("z + z^2", 0.0, 1, 1, 1, 1.0 + 0j),
@@ -60,6 +60,9 @@ class TestFrozenResidues:
         # expanded at u = z - z0 however far z0 lies, and at u = 1/z at infinity
         *[(f"z + (z - {z0})^2", z0, 1, 1, 1, 1.0 + 0j) for z0 in (1.9, 2.1, 2.5, 2.8, 3.0, 5.0, 100.0)],
         ("z + 1 + 1/z", SpherePoint.infinity(), 1, 1, 1, 1.0 + 0j),
+        # z + z^2 + a z^3 has nu = 1 - a; large |nu| once made the field solve fail
+        *[(f"z + z^2 + ({a})*z^3", 0.0, 1, 1, 1, nu)
+          for a, nu in (("-10", 11 + 0j), ("10i", 1 - 10j), ("-2-8i", 3 + 8j), ("-50", 51 + 0j))],
     ]
 
     @pytest.mark.parametrize("expr,z0,p,r,e_loc,nu", CASES)
@@ -70,7 +73,7 @@ class TestFrozenResidues:
         assert abs(inv.nu - nu) < 1e-9
 
     def test_index_cross_check(self):
-        # nu = (m+1)/2 - index must hold between the two independent routines
+        # nu = (m+1)/2 - index must hold between the field and index routines
         for expr, z0, p, r, e_loc, nu in self.CASES:
             inv = tangency_and_residu(parse_map(expr), z0, p, r)
             assert abs(inv.nu - ((inv.e_loc + 1) / 2 - inv.index)) < 1e-8

@@ -5,6 +5,7 @@ import pytest
 
 from ratdyn.kernel import Polynomial
 from ratdyn.ratmap import RationalMap, SpherePoint, parse_map
+from ratdyn import residue
 from ratdyn.parabolic import tangency_and_residu
 from ratdyn.residue import (
     FatouBoxModel,
@@ -105,6 +106,21 @@ class TestParabolicResidue:
         est = dynamical_residue(f, mu, kind="fatou", params=[5, 6, 8],
                                 budget=2_000_000)
         assert abs(est.value) < 0.05
+
+    def test_package_computed_once_per_estimate(self, monkeypatch):
+        f = parse_map("z + z^2")
+        mu = FormDensity.parse("(1 + z)/z^2")
+        with_inv = dynamical_residue(f, mu, kind="fatou", inv=tangency_and_residu(f, 0.0, 1, 1))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tangency_and_residu(*args)
+
+        monkeypatch.setattr(residue, "tangency_and_residu", counted)
+        est = dynamical_residue(f, mu, kind="fatou")
+        assert len(calls) == 1
+        assert est.value == with_inv.value and est.error_bar == with_inv.error_bar
 
 
 def cubic_parabolic(a):

@@ -18,8 +18,18 @@ battery of detectors, in order:
 
 Anything else is Wild — a negative determination ("not found to be tame
 within budget"), reported with the budget and closing orbit statistics.
+
+The orbit is stepped in blocks of iterates and each detector scans a
+whole block at once, its run counters carried from block to block.  The
+earliest iterate at which any detector fires decides; on a tie the order
+above decides (landing, petal, geometric in cycle order, region dwell in
+region order), so the result is the one-iterate-at-a-time loop's
+whatever the block size.  A ``MapError`` raised by a step past that
+iterate is dropped: the one-at-a-time loop never takes that step.
+
 Tails (classes of critical points with eventually-identical orbits) are
-merged via snapped forward-orbit intersection.
+merged via snapped forward-orbit intersection: each orbit's snap keys
+are a sorted int64 array.
 """
 
 from __future__ import annotations
@@ -36,14 +46,19 @@ from .cycles import (
 )
 from .parabolic import petal_sector
 from .ratmap import (
+    MapError,
     RamificationDivisor,
     RationalMap,
     SpherePoint,
     _as_point,
     chart_coords,
     distance,
+    distances,
     local_coord,
-    snap_key,
+    local_coords,
+    moduli,
+    raw_array,
+    snap_keys,
 )
 
 DEFAULT_BUDGET = 100_000
@@ -51,6 +66,8 @@ GEOMETRIC_RUN = 20
 GEOMETRIC_FINAL = 1e-6
 PETAL_RUN = 50
 DWELL_RUN = 1000
+_BLOCK_FIRST = 64  # iterates in the first block; each next block doubles,
+_BLOCK_MAX = 8192  # up to this many
 
 KIND_BOUNDED = "Bounded"
 KIND_TAME = "Tame"
@@ -59,7 +76,7 @@ KIND_WILD = "Wild"
 
 @dataclass
 class Region:
-    """An annotated invariant region: a closed disc or annulus."""
+    """An annotated invariant region: a closed disc or annulus about center."""
 
     id: str
     kind: str  # "SD" or "HR"
@@ -69,10 +86,15 @@ class Region:
 
     def contains(self, z):
         """Whether the raw value z (complex, or None for ∞) lies in the region."""
-        if z is None:
-            return False
-        c = 0j if self.center is None or self.center.is_infinity else self.center.value
-        return self.r_in - 1e-12 <= abs(z - c) <= self.r_out + 1e-12
+        return bool(self.contains_each(raw_array([z]))[0])
+
+    def contains_each(self, zs):
+        """``contains`` over a raw array (∞ as NaN): the modulus of the local
+        coordinate about the center (|1/z| when the center is ∞) lies in
+        [r_in, r_out], up to 1e-12."""
+        c = 0j if self.center is None else self.center.value
+        r = moduli(local_coords(zs, c))
+        return (self.r_in - 1e-12 <= r) & (r <= self.r_out + 1e-12)
 
 
 @dataclass
@@ -84,7 +106,8 @@ class Tail:
     confidence: str = "high"
     budget_used: int = 0
     final_stats: dict = field(default_factory=dict)
-    orbit_keys: set = field(default_factory=set)  # snapped orbit points (set-like)
+    # snap keys of the members' orbits, sorted int64
+    orbit_keys: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     @property
     def multiplicity(self):
@@ -135,12 +158,8 @@ def regions_from_annotations(cycles, annotations):
                 )
             )
         elif ann.kind == "RotationNumberBrjuno" and len(ann.annulus) == 1:
-            # optional closed-disc radius around the annotated Siegel cycle
-            center = None
-            for j, c in enumerate(cycles):
-                if c.cls == CLASS_SIEGEL:
-                    center = c.points[0]
-                    break
+            # optional closed-disc radius around the annotated Siegel cycle point
+            center = _siegel_point(cycles, ann)
             if center is not None:
                 regions.append(
                     Region(
@@ -154,11 +173,68 @@ def regions_from_annotations(cycles, annotations):
     return regions
 
 
+def _siegel_point(cycles, ann):
+    """The point of a Siegel cycle that ann names: the matching point, the
+    first point of the indexed cycle, or of the first Siegel cycle when the
+    annotation is unanchored; None when no Siegel cycle fits."""
+    for i, c in enumerate(cycles):
+        if c.cls != CLASS_SIEGEL:
+            continue
+        if ann.cycle is None or (isinstance(ann.cycle, int) and ann.cycle == i):
+            return c.points[0]
+        for pt in c.points:
+            if ann.matches_point(pt):
+                return pt
+    return None
+
+
+def _runs(flags, carry):
+    """Length of the run of True ending at each index of flags; a run open
+    at index 0 continues the carried length."""
+    idx = np.arange(len(flags))
+    last_false = np.maximum.accumulate(np.where(flags, -1, idx))
+    return np.where(last_false < 0, carry + idx + 1, idx - last_false)
+
+
+def _insert(keys, slots, new):
+    """keys with the entries of new inserted before the given slots
+    (their ``np.searchsorted`` positions in keys; new sorted)."""
+    slots = slots + np.arange(len(new))
+    old = np.ones(len(keys) + len(new), dtype=bool)
+    old[slots] = False
+    out = np.empty(len(old), dtype=keys.dtype)
+    out[slots], out[old] = new, keys
+    return out
+
+
+def _find(keys, new):
+    """(slots, found): the ``np.searchsorted`` positions of new in the
+    sorted keys, and whether keys holds each entry of new there.
+
+    The key sets use these and ``_insert``, not ``np.intersect1d`` and
+    ``np.union1d``, which page in about 0.8 MB more of numpy on first use."""
+    slots = np.searchsorted(keys, new)
+    if not len(keys):
+        return slots, np.zeros(len(new), dtype=bool)
+    return slots, keys[np.minimum(slots, len(keys) - 1)] == new
+
+
+def _shared_union(a, b):
+    """Sorted union of the sorted key arrays a and b if they share a key, else None."""
+    slots, found = _find(a, b)
+    if not found.any():
+        return None
+    return _insert(a, slots[~found], b[~found])
+
+
 class _OrbitTracker:
-    """State machine applying the detector battery along one orbit.
+    """Block state machine applying the detector battery along one orbit.
 
     The orbit runs on raw values (complex, or None for ∞) through
-    ``RationalMap.step``; a SpherePoint is built only at the exits.
+    ``RationalMap.step``, a block at a time (``_BLOCK_FIRST`` iterates,
+    doubling up to ``_BLOCK_MAX``); the detectors scan each block as
+    arrays, carrying their run counters from block to block.  A
+    SpherePoint is built only at the exits.
     """
 
     def __init__(self, f, cycles, regions, budget):
@@ -178,66 +254,89 @@ class _OrbitTracker:
         ]
 
     def run(self, start: SpherePoint):
-        """Classify the orbit of start; "keys" holds its snapped points."""
+        """Classify the orbit of start; "keys" holds its snap keys, sorted."""
         step = self.f.step
-        seen = {}
+        keys = steps = np.empty(0, dtype=np.int64)  # seen snap keys (sorted), first steps
+        petal = [(0, np.inf)] * len(self.petals)  # run, previous |x|
+        geo = [(0, np.inf)] * len(self.sinks)  # run, previous distance
+        dwell = [0] * len(self.regions)
+        z, base, size = start.value, 0, _BLOCK_FIRST
+        while base <= self.budget:
+            block, error = [z] if base == 0 else [], None
+            try:
+                for _ in range(min(size, self.budget + 1 - base) - len(block)):
+                    z = step(z)
+                    block.append(z)
+            except MapError as exc:
+                error = exc
+            if not block:
+                raise error
+            zs = raw_array(block)
+            fired = []  # (block index, kind, target, stats), in precedence order
 
-        def result(kind, target, steps, stats):
-            return {"kind": kind, "target": target, "steps": steps,
-                    "keys": seen.keys(), "stats": stats}
-
-        geo_run = {i: 0 for i, _ in self.sinks}
-        geo_prev = {i: np.inf for i, _ in self.sinks}
-        petal_run = {}
-        petal_prev = {}
-        dwell_run = {r.id: 0 for r in self.regions}
-        z = start.value
-        for n in range(self.budget + 1):
-            if n:
-                z = step(z)
-            key = snap_key(z)
-            prev = seen.get(key)
-            if prev is not None:
-                return result(KIND_BOUNDED, self._landing_cycle(z), n,
-                              {"preperiod": prev, "loop": n - prev})
-            seen[key] = n
-            # parabolic petal detector
-            for i, inv, z0 in self.petals:
-                u = local_coord(z, z0)
-                if u is not None and abs(u) < 0.4:
-                    x = inv.normal_series(u)
+            # exact landing: first revisit of a snap key, earlier block or this one
+            bkeys = snap_keys(zs)
+            uniq, first, inverse = np.unique(bkeys, return_index=True, return_inverse=True)
+            slots, seen = _find(keys, uniq)
+            prev = base + first  # step of each key's first visit
+            prev[seen] = steps[slots[seen]]
+            prev = prev[inverse]
+            hit = np.flatnonzero(prev < base + np.arange(len(block)))
+            if hit.size:
+                k = int(hit[0])
+                fired.append((k, KIND_BOUNDED, self._landing_cycle(block[k]),
+                              {"preperiod": int(prev[k]), "loop": base + k - int(prev[k])}))
+            # parabolic petal detector: a scalar pass over the iterates near z0
+            for j, (i, inv, z0) in enumerate(self.petals):
+                run, prev_ax = petal[j]
+                for k in np.flatnonzero(moduli(local_coords(zs, z0)) < 0.4):
+                    x = inv.normal_series(local_coord(block[k], z0))
                     ax = abs(x)
-                    ok = 0 < ax < abs(petal_prev.get(i, np.inf)) and (
-                        petal_sector(x, inv.e_loc) is not None
-                    )
-                    petal_run[i] = petal_run.get(i, 0) + 1 if ok else 0
-                    petal_prev[i] = ax if ok else np.inf
-                    if petal_run[i] >= PETAL_RUN:
-                        return result(KIND_TAME, f"C{i}", n, {"|x|": ax})
+                    ok = 0 < ax < prev_ax and petal_sector(x, inv.e_loc) is not None
+                    run, prev_ax = (run + 1, ax) if ok else (0, np.inf)
+                    if run >= PETAL_RUN:
+                        fired.append((int(k), KIND_TAME, f"C{i}", {"|x|": ax}))
+                        break
+                petal[j] = run, prev_ax
             # geometric convergence detector
-            for i, points in self.sinks:
-                dist = min([distance(z, q) for q in points])
-                if dist < geo_prev[i]:
-                    geo_run[i] += 1
-                else:
-                    geo_run[i] = 0
-                geo_prev[i] = dist
-                if geo_run[i] >= GEOMETRIC_RUN and dist < GEOMETRIC_FINAL:
-                    return result(KIND_TAME, f"C{i}", n, {"distance": dist})
+            for j, (i, points) in enumerate(self.sinks):
+                dist = distances(zs, points[0])
+                for q in points[1:]:
+                    dq = distances(zs, q)
+                    dist = np.where(dq < dist, dq, dist)
+                run = _runs(dist < np.append(geo[j][1], dist[:-1]), geo[j][0])
+                hit = np.flatnonzero((run >= GEOMETRIC_RUN) & (dist < GEOMETRIC_FINAL))
+                if hit.size:
+                    k = int(hit[0])
+                    d = min([distance(block[k], q) for q in points])
+                    fired.append((k, KIND_TAME, f"C{i}", {"distance": d}))
+                geo[j] = int(run[-1]), dist[-1]
             # annotated-region dwell detector
-            for r in self.regions:
-                if r.contains(z):
-                    dwell_run[r.id] += 1
-                    if dwell_run[r.id] >= DWELL_RUN:
-                        return result(KIND_TAME, r.id, n, {"dwell": dwell_run[r.id]})
-                else:
-                    dwell_run[r.id] = 0
+            for j, r in enumerate(self.regions):
+                run = _runs(r.contains_each(zs), dwell[j])
+                hit = np.flatnonzero(run >= DWELL_RUN)
+                if hit.size:
+                    fired.append((int(hit[0]), KIND_TAME, r.id, {"dwell": DWELL_RUN}))
+                dwell[j] = int(run[-1])
+
+            # the earliest step decides; min keeps the first of equal steps
+            decided = min(fired, key=lambda e: e[0]) if fired else None
+            k = decided[0] if decided else len(block) - 1
+            new = ~seen & (first <= k)  # keys first met at steps up to k
+            keys = _insert(keys, slots[new], uniq[new])
+            if decided:
+                _, kind, target, stats = decided
+                return {"kind": kind, "target": target, "steps": base + k,
+                        "keys": keys, "stats": stats}
+            if error is not None:
+                raise error
+            steps = _insert(steps, slots, base + first)
+            base += len(block)
+            size = min(2 * size, _BLOCK_MAX)
         chart, coord = chart_coords(z)
-        return result(KIND_WILD, "", self.budget, {
-            "budget": self.budget,
-            "last_chart": chart,
-            "last_point": [coord.real, coord.imag],
-        })
+        return {"kind": KIND_WILD, "target": "", "steps": self.budget, "keys": keys,
+                "stats": {"budget": self.budget, "last_chart": chart,
+                          "last_point": [coord.real, coord.imag]}}
 
     def _landing_cycle(self, z):
         pt = SpherePoint(z)
@@ -261,10 +360,12 @@ def classify_tails(f: RationalMap, cycles, annotations=(), budget=DEFAULT_BUDGET
     for i, (pt, mult, res) in enumerate(raw):
         placed = False
         for t in tails:
-            if (res["kind"] == t.classification and res["target"] == t.target
-                    and not t.orbit_keys.isdisjoint(res["keys"])):
+            union = None
+            if res["kind"] == t.classification and res["target"] == t.target:
+                union = _shared_union(t.orbit_keys, res["keys"])
+            if union is not None:
                 t.members.append((pt, mult))
-                t.orbit_keys |= res["keys"]
+                t.orbit_keys = union
                 placed = True
                 break
         if not placed:

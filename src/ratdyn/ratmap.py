@@ -7,7 +7,10 @@ chart keeps coordinates small (w = 1/z beyond radius 2); local analysis at
 a point z0 runs at 0 in u = z - z0, or u = 1/z when z0 is infinity
 (``local_coord``, ``RationalMap.local_fraction``).  Both rules act on raw
 values (a Python ``complex``, or ``None`` for infinity) so that orbit
-loops can run on raw values; ``SpherePoint`` wraps the same rules.
+loops can run on raw values; ``SpherePoint`` wraps the same rules.  Their
+array forms (``snap_keys``, ``distances``, ``local_coords``, ``moduli``)
+take raw arrays with NaN for infinity and round exactly as the scalar
+rules do, so a block of iterates is judged as the iterates one by one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .parser import ExprParser
 
 SNAP_TOL = 1e-7
 CHART_RADIUS = 2.0
+_NAN = complex("nan")
+_KEY_OFFSET = 1 << 30  # |coordinate| / SNAP_TOL <= 2e7 in either chart
 
 
 class MapError(ValueError):
@@ -42,10 +47,37 @@ def chart_coords(z):
     return "w", 1.0 / z
 
 
-def snap_key(z, tol=SNAP_TOL):
-    """Hashable grid key of a raw value; equal points (within ~tol) share or neighbor keys."""
-    chart, c = chart_coords(z)
-    return (chart, round(c.real / tol), round(c.imag / tol))
+def raw_array(values):
+    """Raw values (complex, or None for ∞) as a complex array, ∞ as NaN."""
+    return np.array([_NAN if z is None else z for z in values], dtype=complex)
+
+
+def _reciprocal(z):
+    """1/z over a complex array, rounded as Python's scalar ``1.0 / z``
+    (Smith's algorithm dividing by the denominator, where numpy multiplies
+    by its reciprocal); NaN at 0 and ∞."""
+    re, im = z.real, z.imag
+    big = np.abs(re) >= np.abs(im)
+    with np.errstate(all="ignore"):
+        ratio = np.where(big, im / re, re / im)
+        den = np.where(big, re + im * ratio, re * ratio + im)
+        out = np.empty(z.shape, dtype=complex)
+        out.real = np.where(big, 1.0 + 0.0 * ratio, ratio) / den
+        out.imag = np.where(big, 0.0 - ratio, 0.0 * ratio - 1.0) / den
+    return out
+
+
+def snap_keys(z):
+    """int64 snap-grid keys of a raw array (∞ as NaN): the chart bit of
+    ``chart_coords`` and both coordinates rounded to the SNAP_TOL grid.
+    Equal points (within ~SNAP_TOL) share or neighbor keys."""
+    inf = np.isnan(z.real)
+    w_chart = inf | (moduli(z) > CHART_RADIUS)
+    c = np.where(w_chart, _reciprocal(z), z)
+    c[inf] = 0
+    re = np.rint(c.real / SNAP_TOL).astype(np.int64)
+    im = np.rint(c.imag / SNAP_TOL).astype(np.int64)
+    return (w_chart.astype(np.int64) << 62) | ((re + _KEY_OFFSET) << 31) | (im + _KEY_OFFSET)
 
 
 def distance(a, b):
@@ -60,6 +92,24 @@ def distance(a, b):
     return d
 
 
+def distances(z, b):
+    """``distance`` from each entry of a raw array (∞ as NaN) to the raw value b."""
+    inf = np.isnan(z.real)
+    d = np.full(z.shape, np.inf) if b is None else np.where(inf, np.inf, moduli(z - b))
+    if b != 0:
+        w = _reciprocal(z)
+        w[inf] = 0
+        dw = moduli(w - (0j if b is None else 1.0 / b))
+        d = np.where((z != 0) & (dw < d), dw, d)
+    return d
+
+
+def moduli(u):
+    """|u| over a complex array, rounded as Python's scalar ``abs`` (a hypot;
+    ``np.abs`` differs in the last bit)."""
+    return np.hypot(u.real, u.imag)
+
+
 def local_coord(z, z0):
     """Local coordinate of raw z about raw z0: z - z0, or 1/z when z0 is ∞
     (None where undefined)."""
@@ -68,6 +118,15 @@ def local_coord(z, z0):
     if z is None:
         return 0j
     return 1.0 / z if z != 0 else None
+
+
+def local_coords(z, z0):
+    """``local_coord`` over a raw array (∞ as NaN); NaN where undefined."""
+    if z0 is not None:
+        return z - z0
+    u = _reciprocal(z)
+    u[np.isnan(z.real)] = 0
+    return u
 
 
 class SpherePoint:
@@ -97,10 +156,6 @@ class SpherePoint:
 
     def close_to(self, other, tol=SNAP_TOL):
         return self.distance(other) <= tol
-
-    def snap_key(self, tol=SNAP_TOL):
-        """Hashable grid key; equal points (within ~tol) share or neighbor keys."""
-        return snap_key(self.value, tol)
 
     def __repr__(self):
         if self.is_infinity:

@@ -3,18 +3,35 @@
 import numpy as np
 import pytest
 
-from ratdyn.cycles import Annotation, analyze_cycles
+from ratdyn import orbits
+from ratdyn.corpus import load_corpus
+from ratdyn.cycles import Annotation, analyze_cycles, load_annotations
 from ratdyn.orbits import (
+    DWELL_RUN,
+    GEOMETRIC_FINAL,
+    GEOMETRIC_RUN,
     KIND_BOUNDED,
     KIND_TAME,
     KIND_WILD,
+    PETAL_RUN,
+    _OrbitTracker,
     classify_tails,
     delta_marks,
     epsilon_marks,
     orbit_transcript_rows,
     regions_from_annotations,
 )
-from ratdyn.ratmap import SpherePoint, parse_map
+from ratdyn.parabolic import petal_sector
+from ratdyn.ratmap import (
+    SNAP_TOL,
+    MapError,
+    RationalMap,
+    SpherePoint,
+    chart_coords,
+    distance,
+    local_coord,
+    parse_map,
+)
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 LAM_G = np.exp(2j * np.pi * GOLDEN)
@@ -165,3 +182,249 @@ class TestTranscript:
             (3, -1.0, 0.0, "z"),
             (4, 0.0, 0.0, "w"),
         ]
+
+
+class TestAnnotatedRegions:
+    def test_siegel_disc_centred_on_annotated_point(self):
+        # l z + a z^2 + b z^3 has Siegel fixed points at 0 and at 1
+        lam = LAM_G
+        mu = np.exp(2j * np.pi * (np.sqrt(2) - 1))
+        f = parse_map("l*z + a*z^2 + b*z^3",
+                      {"l": lam, "a": 3 - 2 * lam - mu, "b": mu + lam - 2})
+        anns = [
+            Annotation(kind="RotationNumberBrjuno", cycle=[0.0, 0.0], annulus=(0.1,)),
+            Annotation(kind="RotationNumberBrjuno", cycle=[1.0, 0.0], annulus=(0.1,)),
+        ]
+        regions = regions_from_annotations(analyze_cycles(f, 1, anns), anns)
+        assert [r.id for r in regions] == ["SD0", "SD1"]
+        assert regions[0].center.close_to(SpherePoint(0.0))
+        assert regions[1].center.close_to(SpherePoint(1.0))
+
+    def test_siegel_disc_at_infinity_is_measured_in_one_over_z(self):
+        # in w = 1/z the map is w -> l w + w^2: a golden Siegel point at ∞
+        f = parse_map("z^2/(l*z + 1)", {"l": LAM_G})
+        ann = Annotation(kind="RotationNumberBrjuno", cycle="inf", annulus=(0.05,))
+        cycles = analyze_cycles(f, 1, [ann])
+        (sd,) = regions_from_annotations(cycles, [ann])
+        assert sd.center.is_infinity
+        assert not sd.contains(0.0)  # the superattracting fixed point
+        assert sd.contains(1e6) and sd.contains(None)
+        assert sd.contains_each(np.array([0, 1e6, 10, complex("nan")])).tolist() == [
+            False, True, False, True]
+        # the critical orbit stays within |1/z| <= 2, so it dwells in a wide disc
+        wide = Annotation(kind="RotationNumberBrjuno", cycle="inf", annulus=(2.0,))
+        tails, _ = classify_tails(f, cycles, [wide], budget=5000)
+        t = tail_of(tails, -2 / LAM_G)
+        assert (t.classification, t.target, t.budget_used) == (KIND_TAME, "SD0", 999)
+
+
+# -- the block tracker against the scalar loop it replaced ------------------
+
+
+def _scalar_key(z):
+    chart, c = chart_coords(z)
+    return (chart, round(c.real / SNAP_TOL), round(c.imag / SNAP_TOL))
+
+
+def scalar_run(tracker, start):
+    """The per-step detector loop, one iterate at a time: the oracle."""
+    step = tracker.f.step
+    seen = {}
+
+    def result(kind, target, steps, stats):
+        return {"kind": kind, "target": target, "steps": steps,
+                "keys": set(seen), "stats": stats}
+
+    geo_run = {i: 0 for i, _ in tracker.sinks}
+    geo_prev = {i: np.inf for i, _ in tracker.sinks}
+    petal_run, petal_prev = {}, {}
+    dwell_run = {r.id: 0 for r in tracker.regions}
+    z = start.value
+    for n in range(tracker.budget + 1):
+        if n:
+            z = step(z)
+        key = _scalar_key(z)
+        prev = seen.get(key)
+        if prev is not None:
+            return result(KIND_BOUNDED, tracker._landing_cycle(z), n,
+                          {"preperiod": prev, "loop": n - prev})
+        seen[key] = n
+        for i, inv, z0 in tracker.petals:
+            u = local_coord(z, z0)
+            if u is not None and abs(u) < 0.4:
+                x = inv.normal_series(u)
+                ax = abs(x)
+                ok = 0 < ax < abs(petal_prev.get(i, np.inf)) and (
+                    petal_sector(x, inv.e_loc) is not None
+                )
+                petal_run[i] = petal_run.get(i, 0) + 1 if ok else 0
+                petal_prev[i] = ax if ok else np.inf
+                if petal_run[i] >= PETAL_RUN:
+                    return result(KIND_TAME, f"C{i}", n, {"|x|": ax})
+        for i, points in tracker.sinks:
+            dist = min([distance(z, q) for q in points])
+            geo_run[i] = geo_run[i] + 1 if dist < geo_prev[i] else 0
+            geo_prev[i] = dist
+            if geo_run[i] >= GEOMETRIC_RUN and dist < GEOMETRIC_FINAL:
+                return result(KIND_TAME, f"C{i}", n, {"distance": dist})
+        for r in tracker.regions:
+            if r.contains(z):
+                dwell_run[r.id] += 1
+                if dwell_run[r.id] >= DWELL_RUN:
+                    return result(KIND_TAME, r.id, n, {"dwell": dwell_run[r.id]})
+            else:
+                dwell_run[r.id] = 0
+    chart, coord = chart_coords(z)
+    return result(KIND_WILD, "", tracker.budget, {
+        "budget": tracker.budget, "last_chart": chart,
+        "last_point": [coord.real, coord.imag]})
+
+
+def _key_int(key):
+    """The int64 form of a scalar snap key, as ``ratmap.snap_keys`` packs it."""
+    chart, re, im = key
+    return (chart == "w") << 62 | (re + 2**30) << 31 | (im + 2**30)
+
+
+def scalar_tails(f, cycles, anns, budget):
+    """Tails as (kind, target, budget_used, final_stats, members) by the
+    oracle, merged by set intersection of the scalar keys, and each
+    critical orbit's keys as a sorted list of ints."""
+    tracker = _OrbitTracker(f, cycles, regions_from_annotations(cycles, anns), budget)
+    tails, orbit_keys = [], []
+    for pt, mult in f.critical_divisor().entries:
+        res = scalar_run(tracker, pt)
+        orbit_keys.append(sorted(_key_int(k) for k in res["keys"]))
+        for t in tails:
+            if (t[0], t[1]) == (res["kind"], res["target"]) and t[5] & res["keys"]:
+                t[4].append((pt.to_json(), mult))
+                t[5] |= res["keys"]
+                break
+        else:
+            tails.append([res["kind"], res["target"], res["steps"], res["stats"],
+                          [(pt.to_json(), mult)], res["keys"]])
+    return [t[:5] for t in tails], orbit_keys
+
+
+def block_tails(f, cycles, anns, budget):
+    tails, _ = classify_tails(f, cycles, anns, budget=budget)
+    return [[t.classification, t.target, t.budget_used, t.final_stats,
+             [(pt.to_json(), m) for pt, m in t.members]] for t in tails]
+
+
+def block_orbit_keys(f, cycles, anns, budget):
+    tracker = _OrbitTracker(f, cycles, regions_from_annotations(cycles, anns), budget)
+    return [tracker.run(pt)["keys"].tolist() for pt, _ in f.critical_divisor().entries]
+
+
+def _corpus_case(name):
+    (entry,) = [e for e in load_corpus() if e["name"] == name]
+    params = {k: complex(*v) for k, v in entry["params"].items()}
+    return entry["map"], params, load_annotations(entry["annotations"]), entry["max_period"]
+
+
+def _siegel_disc(radius):
+    point = [(LAM_G / 2).real, (LAM_G / 2).imag]
+    return [Annotation(kind="RotationNumberBrjuno", cycle=point, annulus=(radius,))]
+
+
+MU_SLOW = 0.9 * np.exp(-1j)  # attracting multiplier: a geometric landing
+EQUIVALENCE_MAPS = {
+    "super": ("z^2 - 1", None, [], 2),
+    "through-inf": ("1/(z^2-1)", None, [], 3),
+    "siegel": ("z^2 + c", {"c": C_G}, _siegel_disc(0.05), 1),
+    "siegel-dwell": ("z^2 + c", {"c": C_G}, _siegel_disc(0.9), 1),
+    "herman": _corpus_case("blaschke-herman"),
+    "two-petal": ("z + z^3", None, [], 2),
+    "panel-cardioid": ("z^2 + c", {"c": 0.3 / 2 - 0.3**2 / 4}, [], 2),
+    "panel-cardioid-slow": ("z^2 + c", {"c": MU_SLOW / 2 - MU_SLOW**2 / 4}, [], 2),
+}
+# 0, 1 and around the first block boundaries (64, 192, 448 and 960 iterates)
+BUDGETS = (0, 1, 63, 64, 65, 191, 192, 193, 447, 448, 959, 960, 961, 2500)
+
+
+@pytest.fixture(scope="module")
+def equivalence_cases():
+    cases = {}
+    for name, (expr, params, anns, max_period) in EQUIVALENCE_MAPS.items():
+        f = parse_map(expr, params)
+        cases[name] = (f, analyze_cycles(f, max_period, anns), anns)
+    return cases
+
+
+class TestBlockTracker:
+    @pytest.mark.parametrize("blocks", [(64, 8192), (3, 16)])
+    @pytest.mark.parametrize("name", list(EQUIVALENCE_MAPS))
+    def test_matches_scalar_loop(self, equivalence_cases, name, blocks, monkeypatch):
+        monkeypatch.setattr(orbits, "_BLOCK_FIRST", blocks[0])
+        monkeypatch.setattr(orbits, "_BLOCK_MAX", blocks[1])
+        f, cycles, anns = equivalence_cases[name]
+        for budget in BUDGETS:
+            tails, orbit_keys = scalar_tails(f, cycles, anns, budget)
+            assert block_tails(f, cycles, anns, budget) == tails, budget
+            assert block_orbit_keys(f, cycles, anns, budget) == orbit_keys, budget
+
+    def test_every_detector_is_exercised(self, equivalence_cases):
+        decided = set()
+        for f, cycles, anns in equivalence_cases.values():
+            for t in block_tails(f, cycles, anns, BUDGETS[-1]):
+                decided.add((t[0], next(iter(t[3]))))
+        assert decided == {(KIND_BOUNDED, "preperiod"), (KIND_TAME, "|x|"),
+                           (KIND_TAME, "distance"), (KIND_TAME, "dwell"),
+                           (KIND_WILD, "budget")}
+
+    @pytest.mark.parametrize("expr,critical", [
+        ("z^2 - 1", 0.0),  # revisit at step 2
+        ("z + z^3", 1j / np.sqrt(3)),  # petal
+        ("z^2 - 1/2", 0.0),  # geometric
+    ])
+    def test_earlier_detector_wins_a_tie(self, monkeypatch, expr, critical):
+        # the orbit stays in the annulus [0, 10] until it lands, so a dwell
+        # of n + 1 iterates fires at the landing step n, and a dwell of n before it
+        f = parse_map(expr)
+        cycles = analyze_cycles(f, 2)
+        ring = [Annotation(kind="HermanRing", period=1, annulus=(0.0, 10.0))]
+        alone = tail_of(classify_tails(f, cycles, budget=5000)[0], critical)
+        n = alone.budget_used
+        monkeypatch.setattr(orbits, "DWELL_RUN", n + 1)
+        tied = tail_of(classify_tails(f, cycles, ring, budget=5000)[0], critical)
+        assert (tied.classification, tied.target, tied.budget_used, tied.final_stats) == (
+            alone.classification, alone.target, n, alone.final_stats)
+        monkeypatch.setattr(orbits, "DWELL_RUN", n)
+        early = tail_of(classify_tails(f, cycles, ring, budget=5000)[0], critical)
+        assert (early.target, early.budget_used, early.final_stats) == ("HR0", n - 1, {"dwell": n})
+
+    def test_map_error_after_the_deciding_step_is_not_raised(self, equivalence_cases):
+        f, cycles, anns = equivalence_cases["super"]  # 0 -> -1 -> 0 at step 2
+        expected = block_tails(f, cycles, anns, 100)
+        failing = parse_map("z^2 - 1")
+        calls_at_minus_one = iter(range(10**6))
+
+        def step(z):
+            # the fourth step, f(-1) a second time, raises; the loop stops at step 2
+            if z == -1 and next(calls_at_minus_one) >= 1:
+                raise MapError("0/0 at evaluation: fraction not reduced")
+            return RationalMap.step(failing, z)
+
+        failing.step = step
+        assert block_tails(failing, cycles, anns, 100) == expected
+
+    def test_map_error_before_any_decision_is_raised(self, equivalence_cases):
+        f, cycles, anns = equivalence_cases["siegel"]
+        failing = parse_map("z^2 + c", {"c": C_G})
+        calls = iter(range(10**6))
+
+        def step(z):
+            if next(calls) >= 100:
+                raise MapError("0/0 at evaluation: fraction not reduced")
+            return RationalMap.step(failing, z)
+
+        failing.step = step
+        with pytest.raises(MapError):
+            classify_tails(failing, cycles, anns, budget=1000)
+
+    def test_orbit_keys_are_sorted_int64(self, equivalence_cases):
+        f, cycles, anns = equivalence_cases["through-inf"]
+        (t,) = classify_tails(f, cycles, anns, budget=100)[0]
+        assert t.orbit_keys.dtype == np.int64 and len(t.orbit_keys) == 3
+        assert (np.diff(t.orbit_keys) > 0).all()

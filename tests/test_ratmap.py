@@ -7,11 +7,19 @@ from hypothesis import strategies as st
 
 from ratdyn.kernel import Polynomial
 from ratdyn.ratmap import (
+    SNAP_TOL,
     MapError,
     RationalMap,
     SpherePoint,
+    chart_coords,
+    distance,
+    distances,
     local_coord,
+    local_coords,
+    moduli,
     parse_map,
+    raw_array,
+    snap_keys,
 )
 
 from conftest import coeff_or_zero, finite_complex
@@ -47,6 +55,29 @@ class TestSpherePoint:
         assert local_coord(4.0, None) == 0.25
         assert local_coord(3.0, 1.0) == 2.0
         assert local_coord(7.0, 5.0) == 2.0  # z - z0 beyond radius 2 too
+
+    def test_array_rules_round_as_the_scalar_ones(self, rng):
+        # the block tracker's detectors must decide exactly as the scalar rules
+        z = np.concatenate([
+            rng.standard_normal(3000) + 1j * rng.standard_normal(3000),
+            10.0 ** rng.uniform(-9, 9, 3000) * np.exp(2j * np.pi * rng.random(3000)),
+            [0, -0.0, 2, 2j, -2 + 1e-300j, 1e-320, 5e-8, -5e-8j, 1.5e-7, 2.5e-7],
+        ])
+        raw = [complex(v) for v in z] + [None]  # raw values, as RationalMap.step gives
+        zs = raw_array(raw)
+        keys = snap_keys(zs)
+        chart_bit, re, im = keys >> 62, keys >> 31 & (2**31 - 1), keys & (2**31 - 1)
+        for k, v in enumerate(raw):
+            chart, c = chart_coords(v)
+            assert (chart_bit[k], re[k] - 2**30, im[k] - 2**30) == (
+                int(chart == "w"), round(c.real / SNAP_TOL), round(c.imag / SNAP_TOL))
+        for b in (0j, 0.3 - 1.1j, 40.0, None):
+            d, u = distances(zs, b), local_coords(zs, b)
+            m = moduli(u)
+            for k, v in enumerate(raw):
+                assert d[k] == distance(v, b)
+                want = local_coord(v, b)
+                assert np.isnan(m[k]) if want is None else m[k] == abs(want)
 
     @pytest.mark.parametrize("zi,zo", [(3.0, 0.5), (0.5, None), (None, 5.0), (None, None)])
     def test_local_fraction_is_f_in_local_coordinates(self, zi, zo):

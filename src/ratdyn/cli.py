@@ -114,27 +114,30 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 
-def write_escape_raster(f, path, size=256, window=(-2.0, 2.0, -2.0, 2.0),
-                        max_iter=60, escape_radius=1e6):
-    """8-bit binary PPM escape-time image (visual sanity only).
+_RASTER_ITER = 60
+_ESCAPE_RADIUS = 1e6
 
-    Grayscale level is the fraction of the iteration budget spent before
-    the orbit left the escape radius (black = never escaped).
+
+def write_escape_raster(f, path, size=256):
+    """8-bit binary PPM escape-time image of the square |Re z|, |Im z| <= 2
+    (visual sanity only).
+
+    Grayscale level is the fraction of the _RASTER_ITER iterations spent
+    before the orbit left the escape radius (black = never escaped).
     """
-    x0, x1, y0, y1 = window
-    xs = np.linspace(x0, x1, size)
-    ys = np.linspace(y1, y0, size)  # row-major: top row = max imag
+    xs = np.linspace(-2.0, 2.0, size)
+    ys = np.linspace(2.0, -2.0, size)  # row-major: top row = max imag
     z = xs[None, :] + 1j * ys[:, None]
     count = np.zeros(z.shape, dtype=int)
     alive = np.ones(z.shape, dtype=bool)
     num, den = f.num, f.den
     with np.errstate(all="ignore"):
-        for k in range(max_iter):
+        for k in range(_RASTER_ITER):
             z = np.where(alive, num(z) / den(z), z)
-            bad = ~np.isfinite(z) | (np.abs(z) > escape_radius)
+            bad = ~np.isfinite(z) | (np.abs(z) > _ESCAPE_RADIUS)
             count[alive & bad] = k + 1
             alive &= ~bad
-    gray = np.where(count > 0, (255 * count) // max_iter, 0).astype(np.uint8)
+    gray = np.where(count > 0, (255 * count) // _RASTER_ITER, 0).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (size, size))
         fh.write(np.repeat(gray[:, :, None], 3, axis=2).tobytes())

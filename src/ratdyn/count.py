@@ -140,7 +140,7 @@ def evaluate_counts(f: RationalMap, cycles, tails, split, epsilons, deltas,
     seen = []
     for t in wild:
         for pt, _ in t.members:
-            if not any(pt.close_to(q) for q in seen):
+            if pt not in seen:
                 seen.append(pt)
         if t.confidence == "low":
             rep.caveats.append(

@@ -20,7 +20,9 @@ iteration.
 
 Exact periods are assigned by snap-tolerance matching against the zero sets
 of proper divisors -- never by deflation.  An orbit is assembled by
-matching f of each point to the nearest unused zero of the same level; an
+matching f of each point to the nearest unused zero of the same level.
+Both matchings measure ``ratmap``'s chart-aware distance on the arrays of
+``ratmap.raw_array``, one per level, so they round as the scalar rule; an
 image that matches none, or an orbit that does not return to its start,
 raises ``CycleError``, so every reported cycle closes.  Classification
 follows the multiplier: attracting / superattracting / repelling by
@@ -39,7 +41,6 @@ import numpy as np
 from .kernel import (
     ALGEBRAIC_TOL,
     CLUSTER_TOL,
-    _PAIR_BLOCK,
     _cluster,
     aberth,
     collapse_multiple_roots,
@@ -50,7 +51,15 @@ from .parabolic import (
     tangency_and_residu,
     UNITY_TOL,
 )
-from .ratmap import RationalMap, SpherePoint, SNAP_TOL, _as_point, distance
+from .ratmap import (
+    RationalMap,
+    SpherePoint,
+    SNAP_TOL,
+    _as_point,
+    distance,
+    distances,
+    raw_array,
+)
 
 DEGREE_BUDGET = 5000
 
@@ -97,7 +106,7 @@ class Annotation:
         if self.cycle is None:
             return False
         if isinstance(self.cycle, (list, tuple)):
-            return pt.close_to(SpherePoint(complex(self.cycle[0], self.cycle[1])))
+            return pt == SpherePoint(complex(self.cycle[0], self.cycle[1]))
         if self.cycle == "inf":
             return pt.is_infinity
         return False
@@ -129,8 +138,9 @@ class Cycle:
     cls: str = ""
     parabolic: ParabolicInvariants | None = None
 
-    def contains(self, pt, tol=SNAP_TOL):
-        return any(q.close_to(_as_point(pt), tol) for q in self.points)
+    def contains(self, pt):
+        """Whether pt (a SpherePoint or raw value) equals a cycle point."""
+        return _as_point(pt) in self.points
 
     def representative(self):
         """The first finite cycle point, or ∞ when the cycle is {∞}."""
@@ -357,47 +367,6 @@ def periodic_points(f: RationalMap, p):
     return [(SpherePoint(zi), int(m)) for zi, m in zip(z, mult)]
 
 
-def _chart_values(values):
-    """(z, w = 1/z) arrays of raw values; NaN where a chart does not reach (z at infinity, w at 0)."""
-    z = np.array([np.nan if v is None else v for v in values], dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1.0 / z
-    w[np.isnan(z)] = 0.0
-    w[z == 0] = np.nan
-    return z, w
-
-
-class _RawPoints:
-    """Raw sphere values (complex, None for infinity) with vectorized ratmap.distance.
-
-    The distance is the smaller of |z1 - z2| and |w1 - w2| where defined;
-    a pair no chart reaches (0 and infinity) compares as NaN, never near.
-    """
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.z, self.w = _chart_values(self.values)
-
-    def near(self, other, tol):
-        """For each value of ``other``, whether some stored value lies within tol of it."""
-        out = np.zeros(len(other.values), dtype=bool)
-        rows = max(1, _PAIR_BLOCK // max(1, len(self.values)))
-        with np.errstate(invalid="ignore"):
-            for s in range(0, len(out), rows):
-                dz = np.abs(other.z[s : s + rows, None] - self.z[None, :])
-                dw = np.abs(other.w[s : s + rows, None] - self.w[None, :])
-                out[s : s + rows] = np.any(np.fmin(dz, dw) <= tol, axis=1)
-        return out
-
-    def distances(self, q):
-        """ratmap.distance from each stored value to the raw value q (inf where undefined)."""
-        qz = np.nan if q is None else q
-        qw = 0.0 if q is None else (1.0 / q if q != 0 else np.nan)
-        with np.errstate(invalid="ignore"):
-            d = np.fmin(np.abs(self.z - qz), np.abs(self.w - qw))
-        return np.where(np.isnan(d), np.inf, d)
-
-
 def _divisors(p):
     return [q for q in range(1, p) if p % q == 0]
 
@@ -405,26 +374,29 @@ def _divisors(p):
 def find_cycles(f: RationalMap, max_period):
     """All cycles of exact period <= max_period, sorted deterministically."""
     match_tol = max(SNAP_TOL, 1e-6)
-    levels = {}  # period q -> _RawPoints of the fixed points of f^q
+    levels = {}  # period q -> raw values of the fixed points of f^q
     cycles = []
     pullback = _Pullback(f)
     for p in range(1, max_period + 1):
         z, _, m_inf = _fixed_points(f, p, pullback)
         values = [complex(zi) for zi in z] + ([None] if m_inf else [])
-        levels[p] = _RawPoints(values)
+        levels[p] = values
+        zs = raw_array(values)
         seen = np.zeros(len(values), dtype=bool)
         for q in _divisors(p):
-            seen |= levels[q].near(levels[p], SNAP_TOL)
-        exact = _RawPoints(v for v, old in zip(values, seen) if not old)
-        used = np.zeros(len(exact.values), dtype=bool)
-        for i, start in enumerate(exact.values):
+            for v in levels[q]:
+                seen |= distances(zs, v) <= SNAP_TOL
+        exact = [v for v, old in zip(values, seen) if not old]
+        zs = zs[:, ~seen]
+        used = np.zeros(len(exact), dtype=bool)
+        for i, start in enumerate(exact):
             if used[i]:
                 continue
             used[i] = True
             orbit = [start]
             for _ in range(p - 1):
                 image = f.step(orbit[-1])
-                d = exact.distances(image)
+                d = distances(zs, image)
                 d[used] = np.inf
                 j = int(np.argmin(d))
                 if d[j] > match_tol:
@@ -433,7 +405,7 @@ def find_cycles(f: RationalMap, max_period):
                         f"{d[j]:.3g} from the nearest unused period-{p} point"
                     )
                 used[j] = True
-                orbit.append(exact.values[j])
+                orbit.append(exact[j])
             gap = distance(f.step(orbit[-1]), start)
             if gap > match_tol:
                 raise CycleError(

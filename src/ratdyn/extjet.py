@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import rank_nullity, nullspace, ALGEBRAIC_TOL
+from .kernel import rank_nullity, nullspace
 from .parabolic import _first_return
 from .ratmap import RationalMap, _as_point
 from .series import TruncatedSeries
@@ -101,7 +101,7 @@ def _jet_matrix(g: TruncatedSeries, N):
     return np.stack(cols, axis=1)
 
 
-def jet_e1_series(g_order_M, N, pad=None, tol=ALGEBRAIC_TOL):
+def jet_e1_series(g_order_M, N, pad=None):
     """(kernel_dim, cokernel_dim) of the jet equalizer from a local series.
 
     g_order_M must be truncated at order >= N + pad.
@@ -112,18 +112,18 @@ def jet_e1_series(g_order_M, N, pad=None, tol=ALGEBRAIC_TOL):
     if g_order_M.order < M:
         raise ValueError(f"series order {g_order_M.order} below required {M}")
     a_n = _jet_matrix(g_order_M, N)
-    _, _, coker = rank_nullity(_colnorm(a_n), tol)
+    _, _, coker = rank_nullity(_colnorm(a_n))
     a_m = _jet_matrix(g_order_M, M)
-    null = nullspace(_colnorm(a_m), tol)
+    null = nullspace(_colnorm(a_m))
     if null.shape[1] == 0:
         ker = 0
     else:
         # dimension of the image of the deep nullspace inside order-N jets
-        ker = rank_nullity(null[: N + 1, :], tol)[0]
+        ker = rank_nullity(null[: N + 1, :])[0]
     return ker, coker
 
 
-def jet_e1(f: RationalMap, spec: JetSpec, r=1, tol=ALGEBRAIC_TOL):
+def jet_e1(f: RationalMap, spec: JetSpec, r=1):
     """Jet equalizer dimensions at a cycle site, with a stabilization flag.
 
     The local operator is that of the first return f^(period * r) at the
@@ -137,9 +137,9 @@ def jet_e1(f: RationalMap, spec: JetSpec, r=1, tol=ALGEBRAIC_TOL):
     pad = max(N, 4)
     M = N + pad
     g = _first_return(f, _as_point(spec.point), spec.period, r, M + 2)
-    ker, coker = jet_e1_series(g, N, pad, tol)
+    ker, coker = jet_e1_series(g, N, pad)
     if N >= 2:
-        ker_prev, coker_prev = jet_e1_series(g, N - 1, pad + 1, tol)
+        ker_prev, coker_prev = jet_e1_series(g, N - 1, pad + 1)
         stabilized = (ker, coker) == (ker_prev, coker_prev)
     else:
         stabilized = False

@@ -1,8 +1,8 @@
 """Foundational numerics: complex polynomials, root extraction, dense rank/nullity.
 
 Everything here is plain dense complex arithmetic at float64.  Tolerances are
-explicit parameters with pinned defaults (relative algebraic tolerance 1e-9,
-root-clustering radius 1e-6) so results are reproducible.
+pinned (relative algebraic tolerance 1e-9, root-clustering radius 1e-6,
+multiple-root grouping radius 1e-3) so results are reproducible.
 """
 
 from __future__ import annotations
@@ -261,6 +261,7 @@ def _shifted_taylor(q, scale, x, k):
 
 
 _PAIR_BLOCK = 1 << 16  # matrix entries per block of a row-blocked pairwise pass
+_GROUP_RADIUS = 1e-3
 _RESOLVE_RATIO = 1e-2
 
 
@@ -317,15 +318,15 @@ def aberth(jet, z):
     return z, not active.size
 
 
-def collapse_multiple_roots(z, taylor, group_radius=1e-3):
+def collapse_multiple_roots(z, taylor):
     """Snap near-coincident iterates onto certified multiple roots.
 
     A root of multiplicity m can only be located to ~eps^(1/m) by direct
     iteration, which defeats the fixed clustering radius.  Iterates within
-    the coarse radius of each other form a group.  A member is a resolved
-    simple root, and keeps its place, when both its Newton step and the
-    uncertainty (zero level of t_0)/|t_1| of its position are below
-    _RESOLVE_RATIO times its distance to the rest of the group (a residual
+    the coarse radius _GROUP_RADIUS of each other form a group.  A member
+    is a resolved simple root, and keeps its place, when both its Newton
+    step and the uncertainty (zero level of t_0)/|t_1| of its position are
+    below _RESOLVE_RATIO times its distance to the rest of the group (a residual
     that rounds to zero says nothing by itself).  The m unresolved members
     are tested against the hypothesis of one m-fold root: the (m-1)-th
     derivative has a simple (hence machine-precision) root there, and the
@@ -347,7 +348,7 @@ def collapse_multiple_roots(z, taylor, group_radius=1e-3):
             i = parent[i]
         return i
 
-    for i, j in _close_pairs(z, group_radius):
+    for i, j in _close_pairs(z, _GROUP_RADIUS):
         parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
@@ -368,7 +369,7 @@ def collapse_multiple_roots(z, taylor, group_radius=1e-3):
         while len(pending) >= 2:
             trial = list(pending)
             while len(trial) >= 2:
-                zs = _certified_multiple_root(z[trial], taylor, group_radius)
+                zs = _certified_multiple_root(z[trial], taylor)
                 if zs is not None:
                     out[trial] = zs
                     break
@@ -380,7 +381,7 @@ def collapse_multiple_roots(z, taylor, group_radius=1e-3):
     return out
 
 
-def _certified_multiple_root(pts, taylor, group_radius):
+def _certified_multiple_root(pts, taylor):
     """The m-fold root the m iterates pts stand for, or None when it is not certified."""
     m = len(pts)
     center = complex(np.mean(pts))
@@ -393,7 +394,7 @@ def _certified_multiple_root(pts, taylor, group_radius):
         zs = zs - step
         if abs(step) <= 1e-16 * max(1.0, abs(zs)):
             break
-    if abs(zs - center) > group_radius * max(1.0, abs(center)):
+    if abs(zs - center) > _GROUP_RADIUS * max(1.0, abs(center)):
         return None
     t, zero = taylor(zs, m - 1)
     return zs if np.all(np.abs(t) <= zero[: len(t)]) else None

@@ -20,7 +20,10 @@ Anything else is Wild — a negative determination ("not found to be tame
 within budget"), reported with the budget and closing orbit statistics.
 
 The orbit is stepped in blocks of iterates and each detector scans a
-whole block at once, its run counters carried from block to block.  The
+whole block at once, its run counters carried from block to block.  A
+block is one ``ratmap.raw_array``: the snap keys, the local coordinates
+of the petal and region detectors and the distances of the geometric one
+are ``ratmap``'s array rules on it, which round as the scalar ones.  The
 earliest iterate at which any detector fires decides; on a tie the order
 above decides (landing, petal, geometric in cycle order, region dwell in
 region order), so the result is the one-iterate-at-a-time loop's
@@ -52,7 +55,6 @@ from .ratmap import (
     SpherePoint,
     _as_point,
     chart_coords,
-    distance,
     distances,
     local_coord,
     local_coords,
@@ -89,7 +91,7 @@ class Region:
         return bool(self.contains_each(raw_array([z]))[0])
 
     def contains_each(self, zs):
-        """``contains`` over a raw array (∞ as NaN): the modulus of the local
+        """``contains`` over a ``raw_array``: the modulus of the local
         coordinate about the center (|1/z| when the center is ∞) lies in
         [r_in, r_out], up to 1e-12."""
         c = 0j if self.center is None else self.center.value
@@ -308,8 +310,7 @@ class _OrbitTracker:
                 hit = np.flatnonzero((run >= GEOMETRIC_RUN) & (dist < GEOMETRIC_FINAL))
                 if hit.size:
                     k = int(hit[0])
-                    d = min([distance(block[k], q) for q in points])
-                    fired.append((k, KIND_TAME, f"C{i}", {"distance": d}))
+                    fired.append((k, KIND_TAME, f"C{i}", {"distance": float(dist[k])}))
                 geo[j] = int(run[-1]), dist[-1]
             # annotated-region dwell detector
             for j, r in enumerate(self.regions):
@@ -397,12 +398,12 @@ def _build_split(ram: RamificationDivisor, tails):
                 by_target.setdefault(t.target, []).append((pt, m))
             else:
                 w_entries.append((pt, m))
-    mk = lambda es, lbl: RamificationDivisor(es, label=lbl) if es else RamificationDivisor([], label=lbl)
     return RamSplit(
-        ram_b=mk(b_entries, "Ram_b"),
-        ram_t=mk(t_entries, "Ram_t"),
-        ram_w=mk(w_entries, "Ram_w"),
-        tame_by_target={k: mk(v, f"Ram_t[{k}]") for k, v in by_target.items()},
+        ram_b=RamificationDivisor(b_entries, label="Ram_b"),
+        ram_t=RamificationDivisor(t_entries, label="Ram_t"),
+        ram_w=RamificationDivisor(w_entries, label="Ram_w"),
+        tame_by_target={k: RamificationDivisor(v, label=f"Ram_t[{k}]")
+                        for k, v in by_target.items()},
     )
 
 

@@ -31,6 +31,7 @@ from .ratmap import RationalMap, SpherePoint, _as_point, local_coord
 
 UNITY_TOL = 1e-8
 UNITY_HORIZON = 64
+FATOU_STEPS = 20  # returns of g taken by fatou_coordinate
 PETAL_SLACK = 1.02  # half-width of a petal sector, in units of pi/(2m)
 
 
@@ -132,7 +133,7 @@ def _first_return(f, z0, p, r, N):
     return g
 
 
-def _tangency_order(g, rel_tol=1e-6):
+def _tangency_order(g):
     """(m, a) with g(z) = z + a z^{m+1} + ...; error if no tangency found."""
     c = g.c.copy()
     c[1] -= 1.0
@@ -140,7 +141,7 @@ def _tangency_order(g, rel_tol=1e-6):
     if abs(c[1]) > 1e-5:
         raise ParabolicError(f"return map not tangent to identity (g'={g.c[1]:.6g})")
     for k in range(2, len(c)):
-        if abs(c[k]) > rel_tol * scale:
+        if abs(c[k]) > 1e-6 * scale:
             return k - 1, complex(c[k])
     raise ParabolicError("tangency order exceeds the truncation budget")
 
@@ -247,19 +248,20 @@ def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
     )
 
 
-def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0, n_iter=20):
+def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0):
     """Approximate incoming Fatou coordinate s(z) with s(f^{pr}(z)) = s(z) + 1.
 
-    Computed as lim_n [ s0(g^n(z)) - n ] where s0 = t - (nu/m) Log t,
-    t = -1/(m x^m), x the normalizing coordinate; the principal Log cut
-    falls on the repelling axis of each petal.  z must lie in the petal
-    sector indexed by petal_index (attracting directions sorted by angle).
+    Computed as lim_n [ s0(g^n(z)) - n ], taken at n = FATOU_STEPS, where
+    s0 = t - (nu/m) Log t, t = -1/(m x^m), x the normalizing coordinate;
+    the principal Log cut falls on the repelling axis of each petal.  z
+    must lie in the petal sector indexed by petal_index (attracting
+    directions sorted by angle).
     """
     m = inv.e_loc
     zz = _as_point(z)
     steps = inv.p * inv.r
     prev = None
-    for n in range(n_iter + 1):
+    for n in range(FATOU_STEPS + 1):
         u = local_coord(zz.value, inv.z0.value)
         if u is None or abs(u) > 0.8:
             raise ParabolicError("point escaped the parabolic chart during iteration")

@@ -1,16 +1,18 @@
 """Rational self-maps of the Riemann sphere.
 
 Points are tagged finite/infinity.  Maps are stored as a reduced fraction
-of dense polynomials with a monic denominator.  Raw arithmetic (orbit
-steps, the snap grid, the chart-aware distance) runs in whichever affine
-chart keeps coordinates small (w = 1/z beyond radius 2); local analysis at
-a point z0 runs at 0 in u = z - z0, or u = 1/z when z0 is infinity
-(``local_coord``, ``RationalMap.local_fraction``).  Both rules act on raw
-values (a Python ``complex``, or ``None`` for infinity) so that orbit
-loops can run on raw values; ``SpherePoint`` wraps the same rules.  Their
-array forms (``snap_keys``, ``distances``, ``local_coords``, ``moduli``)
-take raw arrays with NaN for infinity and round exactly as the scalar
-rules do, so a block of iterates is judged as the iterates one by one.
+of dense polynomials with a monic denominator.  This module is the one home
+of sphere-point arithmetic.  Raw arithmetic (orbit steps, the snap grid,
+the chart-aware distance) runs in whichever affine chart keeps coordinates
+small (w = 1/z beyond radius 2); local analysis at a point z0 runs at 0 in
+u = z - z0, or u = 1/z when z0 is infinity (``local_coord``,
+``RationalMap.local_fraction``).  Both rules act on raw values (a Python
+``complex``, or ``None`` for infinity), so orbit loops run on raw values
+and a ``SpherePoint`` carries one in ``value``.  Their array forms
+(``snap_keys``, ``distances``, ``local_coords``, ``moduli``) take the
+(z, w) arrays of ``raw_array``, whose reciprocal w is computed once per
+array, and round exactly as the scalar rules do, so a block of iterates is
+judged as the iterates one by one.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ import math
 
 import numpy as np
 
-from .kernel import (
-    ALGEBRAIC_TOL,
-    CLUSTER_TOL,
-    Polynomial,
-    poly_roots,
-)
+from .kernel import Polynomial, poly_roots
 from .parser import ExprParser
 
 SNAP_TOL = 1e-7
@@ -48,8 +45,12 @@ def chart_coords(z):
 
 
 def raw_array(values):
-    """Raw values (complex, or None for ∞) as a complex array, ∞ as NaN."""
-    return np.array([_NAN if z is None else z for z in values], dtype=complex)
+    """Raw values (complex, or None for ∞) in both charts: a (2, n) complex
+    array of z (∞ as NaN) and w = 1/z (0 at ∞, NaN at 0)."""
+    z = np.array([_NAN if v is None else v for v in values], dtype=complex)
+    w = _reciprocal(z)
+    w[np.isnan(z.real)] = 0
+    return np.array([z, w])
 
 
 def _reciprocal(z):
@@ -67,14 +68,13 @@ def _reciprocal(z):
     return out
 
 
-def snap_keys(z):
-    """int64 snap-grid keys of a raw array (∞ as NaN): the chart bit of
+def snap_keys(zs):
+    """int64 snap-grid keys of a ``raw_array``: the chart bit of
     ``chart_coords`` and both coordinates rounded to the SNAP_TOL grid.
     Equal points (within ~SNAP_TOL) share or neighbor keys."""
-    inf = np.isnan(z.real)
-    w_chart = inf | (moduli(z) > CHART_RADIUS)
-    c = np.where(w_chart, _reciprocal(z), z)
-    c[inf] = 0
+    z, w = zs
+    w_chart = np.isnan(z.real) | (moduli(z) > CHART_RADIUS)
+    c = np.where(w_chart, w, z)
     re = np.rint(c.real / SNAP_TOL).astype(np.int64)
     im = np.rint(c.imag / SNAP_TOL).astype(np.int64)
     return (w_chart.astype(np.int64) << 62) | ((re + _KEY_OFFSET) << 31) | (im + _KEY_OFFSET)
@@ -92,13 +92,12 @@ def distance(a, b):
     return d
 
 
-def distances(z, b):
-    """``distance`` from each entry of a raw array (∞ as NaN) to the raw value b."""
+def distances(zs, b):
+    """``distance`` from each entry of a ``raw_array`` to the raw value b."""
+    z, w = zs
     inf = np.isnan(z.real)
     d = np.full(z.shape, np.inf) if b is None else np.where(inf, np.inf, moduli(z - b))
     if b != 0:
-        w = _reciprocal(z)
-        w[inf] = 0
         dw = moduli(w - (0j if b is None else 1.0 / b))
         d = np.where((z != 0) & (dw < d), dw, d)
     return d
@@ -120,17 +119,17 @@ def local_coord(z, z0):
     return 1.0 / z if z != 0 else None
 
 
-def local_coords(z, z0):
-    """``local_coord`` over a raw array (∞ as NaN); NaN where undefined."""
-    if z0 is not None:
-        return z - z0
-    u = _reciprocal(z)
-    u[np.isnan(z.real)] = 0
-    return u
+def local_coords(zs, z0):
+    """``local_coord`` over a ``raw_array``; NaN where undefined."""
+    z, w = zs
+    return w if z0 is None else z - z0
 
 
 class SpherePoint:
-    """A point of the sphere: a finite complex value or the point at infinity."""
+    """A point of the sphere: a finite complex value or the point at infinity.
+
+    ``value`` is the raw value (None for infinity); points compare equal
+    when their chart-aware ``distance`` is within SNAP_TOL."""
 
     __slots__ = ("value",)
 
@@ -146,17 +145,6 @@ class SpherePoint:
     def is_infinity(self):
         return self.value is None
 
-    def chart_coords(self):
-        """(chart, coordinate): 'z' for |z| <= 2, else 'w' with w = 1/z."""
-        return chart_coords(self.value)
-
-    def distance(self, other):
-        """Chart-aware distance: min of |z1-z2| and |w1-w2| where defined."""
-        return distance(self.value, other.value)
-
-    def close_to(self, other, tol=SNAP_TOL):
-        return self.distance(other) <= tol
-
     def __repr__(self):
         if self.is_infinity:
             return "SpherePoint(∞)"
@@ -165,7 +153,7 @@ class SpherePoint:
     def __eq__(self, other):
         if not isinstance(other, SpherePoint):
             return NotImplemented
-        return self.close_to(other)
+        return distance(self.value, other.value) <= SNAP_TOL
 
     # __eq__ is closeness, which is not transitive: no hash can agree with it
     __hash__ = None
@@ -212,13 +200,12 @@ class RationalMap:
     tolerance) and the denominator is monic (or exactly 1 when constant).
     """
 
-    def __init__(self, num, den, reduce=True):
+    def __init__(self, num, den):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise MapError("denominator is identically zero")
-        if reduce:
-            num, den = _reduce_fraction(num, den)
+        num, den = _reduce_fraction(num, den)
         # normalize: monic denominator, or den == 1 when constant
         if den.degree == 0:
             num = Polynomial(num.coeffs / den.coeffs[0])
@@ -300,11 +287,10 @@ class RationalMap:
         these values along a cycle is the cycle multiplier.
         """
         z = _as_point(z)
-        chart, t = z.chart_coords()
+        chart, t = chart_coords(z.value)
         a, b = self._chart_pair(chart)
         w = self._wron[chart]
-        fz = self.evaluate(z)
-        out_chart, _ = fz.chart_coords()
+        out_chart, _ = chart_coords(self.step(z.value))
         # derivative of A/B is W/B^2; of the flipped chart B/A it is -W/A^2
         if out_chart == "z":
             val = w(t) / b(t) ** 2
@@ -412,7 +398,7 @@ def _substitute_fraction(p, a, b):
     return out
 
 
-def _reduce_fraction(num, den, cluster_tol=CLUSTER_TOL, tol=ALGEBRAIC_TOL):
+def _reduce_fraction(num, den):
     """Remove common roots of num and den (numerically) and re-trim."""
     if num.is_zero:
         return num, Polynomial([1.0])
@@ -420,7 +406,7 @@ def _reduce_fraction(num, den, cluster_tol=CLUSTER_TOL, tol=ALGEBRAIC_TOL):
     den = den.trimmed(1e-12)
     if den.degree >= 1 and num.degree >= 1:
         scale_n = num.scale()
-        for root, mult in poly_roots(den, cluster_tol=cluster_tol):
+        for root, mult in poly_roots(den):
             for _ in range(mult):
                 if num.degree == 0:
                     break
@@ -441,7 +427,7 @@ class RamificationDivisor:
             if m < 1:
                 raise ValueError("divisor multiplicities must be >= 1")
             for i, (q, mq) in enumerate(merged):
-                if q.close_to(pt):
+                if q == pt:
                     merged[i] = (q, mq + m)
                     break
             else:
@@ -453,9 +439,9 @@ class RamificationDivisor:
     def total(self):
         return sum(m for _, m in self.entries)
 
-    def multiplicity_at(self, pt, tol=SNAP_TOL):
+    def multiplicity_at(self, pt):
         for q, m in self.entries:
-            if q.close_to(pt, tol):
+            if q == pt:
                 return m
         return 0
 

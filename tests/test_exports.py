@@ -29,3 +29,12 @@ def test_chart_rule_stays_in_raw_arithmetic():
     src = Path(ratdyn.__file__).parent
     users = {p.stem for p in src.glob("*.py") if "chart_coords" in p.read_text()}
     assert users <= {"ratmap", "orbits"}
+
+
+def test_sphere_distance_lives_in_ratmap():
+    # one home for sphere-point arithmetic: no other module defines a chart
+    # distance or the exact reciprocal that the array rules share
+    src = Path(ratdyn.__file__).parent
+    rule = re.compile(r"def \w*distance|_reciprocal")
+    owners = {p.stem for p in src.glob("*.py") if rule.search(p.read_text())}
+    assert owners <= {"ratmap"}

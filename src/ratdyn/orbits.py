@@ -19,7 +19,8 @@ battery of detectors, in order:
 Anything else is Wild — a negative determination ("not found to be tame
 within budget"), reported with the budget and closing orbit statistics.
 
-The orbit is stepped in blocks of iterates and each detector scans a
+The orbit is stepped in blocks of iterates, one call of the map's orbit
+kernel (``RationalMap.iterate``) per block, and each detector scans a
 whole block at once, its run counters carried from block to block.  A
 block is one ``ratmap.raw_array``: the snap keys, the local coordinates
 of the petal and region detectors and the distances of the geometric one
@@ -29,6 +30,13 @@ above decides (landing, petal, geometric in cycle order, region dwell in
 region order), so the result is the one-iterate-at-a-time loop's
 whatever the block size.  A ``MapError`` raised by a step past that
 iterate is dropped: the one-at-a-time loop never takes that step.
+
+The landing detector sorts each block's snap keys once.  A clean block,
+with no key twice and none met in an earlier block (every block of a
+Wild orbit is clean), only merges its sorted keys into the orbit's key
+set.  The exact first-revisit search runs only in the block where the
+orbit lands, and takes the step of the earlier visit from the kept
+per-block keys.
 
 Tails (classes of critical points with eventually-identical orbits) are
 merged via snapped forward-orbit intersection: each orbit's snap keys
@@ -214,11 +222,28 @@ def _find(keys, new):
     sorted keys, and whether keys holds each entry of new there.
 
     The key sets use these and ``_insert``, not ``np.intersect1d`` and
-    ``np.union1d``, which page in about 0.8 MB more of numpy on first use."""
+    ``np.union1d``, which page in about 0.8 MB more of numpy on first use
+    (a plain ``np.unique``, hashed in numpy 2, pages in about 1.2 MB)."""
     slots = np.searchsorted(keys, new)
     if not len(keys):
         return slots, np.zeros(len(new), dtype=bool)
     return slots, keys[np.minimum(slots, len(keys) - 1)] == new
+
+
+def _first_revisit(bkeys, keys, past, base):
+    """(k, step of the earlier visit) of the first iterate k of a block whose
+    snap key was met before, in the block or in an earlier one.
+
+    The earlier blocks were clean (the first revisit ends the orbit), so
+    their keys, concatenated in step order, hold each key once and
+    ``keys`` is their sorted set."""
+    uniq, first, inverse = np.unique(bkeys, return_index=True, return_inverse=True)
+    _, seen = _find(keys, uniq)
+    revisit = seen[inverse] | (first[inverse] < np.arange(len(bkeys)))
+    k = int(np.flatnonzero(revisit)[0])
+    if seen[inverse[k]]:
+        return k, int(np.flatnonzero(np.concatenate(past) == bkeys[k])[0])
+    return k, base + int(first[inverse[k]])
 
 
 def _shared_union(a, b):
@@ -233,7 +258,7 @@ class _OrbitTracker:
     """Block state machine applying the detector battery along one orbit.
 
     The orbit runs on raw values (complex, or None for ∞) through
-    ``RationalMap.step``, a block at a time (``_BLOCK_FIRST`` iterates,
+    ``RationalMap.iterate``, a block at a time (``_BLOCK_FIRST`` iterates,
     doubling up to ``_BLOCK_MAX``); the detectors scan each block as
     arrays, carrying their run counters from block to block.  A
     SpherePoint is built only at the exits.
@@ -257,8 +282,9 @@ class _OrbitTracker:
 
     def run(self, start: SpherePoint):
         """Classify the orbit of start; "keys" holds its snap keys, sorted."""
-        step = self.f.step
-        keys = steps = np.empty(0, dtype=np.int64)  # seen snap keys (sorted), first steps
+        iterate = self.f.iterate
+        keys = np.empty(0, dtype=np.int64)  # seen snap keys, sorted
+        past = []  # snap keys of the earlier blocks, in step order
         petal = [(0, np.inf)] * len(self.petals)  # run, previous |x|
         geo = [(0, np.inf)] * len(self.sinks)  # run, previous distance
         dwell = [0] * len(self.regions)
@@ -266,28 +292,24 @@ class _OrbitTracker:
         while base <= self.budget:
             block, error = [z] if base == 0 else [], None
             try:
-                for _ in range(min(size, self.budget + 1 - base) - len(block)):
-                    z = step(z)
-                    block.append(z)
+                iterate(z, min(size, self.budget + 1 - base) - len(block), block)
             except MapError as exc:
                 error = exc
             if not block:
                 raise error
+            z = block[-1]
             zs = raw_array(block)
             fired = []  # (block index, kind, target, stats), in precedence order
 
             # exact landing: first revisit of a snap key, earlier block or this one
             bkeys = snap_keys(zs)
-            uniq, first, inverse = np.unique(bkeys, return_index=True, return_inverse=True)
-            slots, seen = _find(keys, uniq)
-            prev = base + first  # step of each key's first visit
-            prev[seen] = steps[slots[seen]]
-            prev = prev[inverse]
-            hit = np.flatnonzero(prev < base + np.arange(len(block)))
-            if hit.size:
-                k = int(hit[0])
+            sorted_keys = np.sort(bkeys)
+            slots, seen = _find(keys, sorted_keys)
+            clean = not seen.any() and not (sorted_keys[1:] == sorted_keys[:-1]).any()
+            if not clean:
+                k, prev = _first_revisit(bkeys, keys, past, base)
                 fired.append((k, KIND_BOUNDED, self._landing_cycle(block[k]),
-                              {"preperiod": int(prev[k]), "loop": base + k - int(prev[k])}))
+                              {"preperiod": prev, "loop": base + k - prev}))
             # parabolic petal detector: a scalar pass over the iterates near z0
             for j, (i, inv, z0) in enumerate(self.petals):
                 run, prev_ax = petal[j]
@@ -321,17 +343,18 @@ class _OrbitTracker:
                 dwell[j] = int(run[-1])
 
             # the earliest step decides; min keeps the first of equal steps
-            decided = min(fired, key=lambda e: e[0]) if fired else None
-            k = decided[0] if decided else len(block) - 1
-            new = ~seen & (first <= k)  # keys first met at steps up to k
-            keys = _insert(keys, slots[new], uniq[new])
-            if decided:
-                _, kind, target, stats = decided
+            if fired:
+                k, kind, target, stats = min(fired, key=lambda e: e[0])
+                new = np.sort(bkeys[: k + 1])
+                slots, seen = _find(keys, new)
+                seen[1:] |= new[1:] == new[:-1]  # each key once
+                keys = _insert(keys, slots[~seen], new[~seen])
                 return {"kind": kind, "target": target, "steps": base + k,
                         "keys": keys, "stats": stats}
             if error is not None:
                 raise error
-            steps = _insert(steps, slots, base + first)
+            keys = _insert(keys, slots, sorted_keys)
+            past.append(bkeys)
             base += len(block)
             size = min(2 * size, _BLOCK_MAX)
         chart, coord = chart_coords(z)
@@ -436,11 +459,10 @@ def delta_marks(cycles, split: RamSplit):
 
 def orbit_transcript_rows(f: RationalMap, z0, n):
     """CSV rows (iterate, re, im, chart) of the orbit of z0."""
+    zs = [_as_point(z0).value]
+    f.iterate(zs[0], n, zs)
     rows = []
-    z = _as_point(z0).value
-    for k in range(n + 1):
-        if k:
-            z = f.step(z)
+    for k, z in enumerate(zs):
         chart, c = chart_coords(z)
         rows.append((k, c.real, c.imag, chart))
     return rows

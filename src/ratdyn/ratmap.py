@@ -13,6 +13,11 @@ and a ``SpherePoint`` carries one in ``value``.  Their array forms
 (z, w) arrays of ``raw_array``, whose reciprocal w is computed once per
 array, and round exactly as the scalar rules do, so a block of iterates is
 judged as the iterates one by one.
+
+Orbits run through one orbit kernel per map (``RationalMap.iterate``): a
+function, generated for the lengths of the map's Horner coefficient
+tuples, that steps n iterates in one Python frame.  ``RationalMap.step``
+is one iterate of it.
 """
 
 from __future__ import annotations
@@ -175,6 +180,72 @@ def _horner(p):
     return tuple(complex(c) for c in p.coeffs[::-1])
 
 
+_KERNELS = {}  # Horner lengths -> compiled kernel maker, one per shape
+
+
+def _orbit_kernel(num, den, rnum, rden):
+    """The orbit kernel of f = num/den, whose w-chart fraction is rnum/rden:
+    a function (z, n, out) appending the n iterates f(z), ..., f^n(z) of the
+    raw value z to the list out.
+
+    It runs ``chart_coords``'s chart rule and the Horner loops of both
+    charts, unrolled, in one Python frame, with the operations of one
+    iterate in their loop order (starting from 0j * t + c), so each iterate
+    is bit for bit the loop's.  The source depends on the four Horner
+    lengths only and is compiled once per shape; the coefficients are the
+    maker's arguments (never ``repr``-ed into the source, which would lose
+    -0.0, inf and nan) and become locals once per call.
+    """
+    horner = tuple(_horner(p) for p in (num, den, rnum, rden))
+    shape = tuple(map(len, horner))
+    make = _KERNELS.get(shape)
+    if make is None:
+        make = _KERNELS[shape] = _compile_kernel(shape)
+    return make(*horner)
+
+
+def _compile_kernel(shape):
+    """The kernel maker for Horner tuples of these lengths, compiled from source."""
+    names = [[f"{h}{i}" for i in range(size)] for h, size in zip(("a", "b", "c", "d"), shape)]
+
+    def horner(cs, t):
+        expr = "0j"
+        for c in cs:
+            expr = f"({expr} * {t} + {c})"
+        return expr
+
+    src = f"""
+def make(za, zb, wa, wb):
+    def kernel(z, n, out):
+        {", ".join(names[0])}, = za
+        {", ".join(names[1])}, = zb
+        {", ".join(names[2])}, = wa
+        {", ".join(names[3])}, = wb
+        append, radius, isfinite = out.append, CHART_RADIUS, cmath.isfinite
+        for _ in range(n):
+            if z is not None and abs(z) <= radius:
+                num = {horner(names[0], "z")}
+                den = {horner(names[1], "z")}
+            else:
+                t = 0j if z is None else 1.0 / z
+                num = {horner(names[2], "t")}
+                den = {horner(names[3], "t")}
+            if den == 0:
+                if num == 0:
+                    raise MapError("0/0 at evaluation: fraction not reduced")
+                z = None
+            else:
+                z = num / den
+                if not isfinite(z):
+                    z = None
+            append(z)
+    return kernel
+"""
+    scope = {"CHART_RADIUS": CHART_RADIUS, "MapError": MapError, "cmath": cmath}
+    exec(compile(src, f"<ratmap orbit kernel {shape}>", "exec"), scope)
+    return scope["make"]
+
+
 def _rev_pad(p, d):
     """Coefficients of z^d * p(1/z): reverse after zero-padding to degree d."""
     c = np.zeros(d + 1, dtype=complex)
@@ -222,11 +293,7 @@ class RationalMap:
         # cached w-chart data: z^d num(1/z), z^d den(1/z)
         self._rnum = _rev_pad(num, self.degree)
         self._rden = _rev_pad(den, self.degree)
-        # Horner coefficients (highest degree first) of (A, B) in each chart
-        self._horner = {
-            "z": (_horner(num), _horner(den)),
-            "w": (_horner(self._rnum), _horner(self._rden)),
-        }
+        self._kernel = None  # the orbit kernel, built on first use
         # Wronskian A'B - AB' of (A, B) in each chart: f' is W/B^2 there
         self._wron = {}
         for chart in ("z", "w"):
@@ -251,26 +318,26 @@ class RationalMap:
                 else (self.num.shifted(zi.value), self.den.shifted(zi.value)))
         return (b, a) if zo.is_infinity else (a - zo.value * b, b)
 
+    def iterate(self, z, n, out):
+        """Append the iterates f(z), ..., f^n(z) of the raw value z to the list out.
+
+        One call of the orbit kernel (``_orbit_kernel``) runs them all; a
+        ``MapError`` at an iterate leaves the earlier ones in out.
+        """
+        if self._kernel is None:
+            self._kernel = _orbit_kernel(self.num, self.den, self._rnum, self._rden)
+        self._kernel(z, n, out)
+
     def step(self, z):
         """f on a raw value (complex, or None for ∞), computed in the stable chart.
 
-        The input chart follows ``chart_coords``; a zero denominator or a
-        non-finite quotient gives ∞, and 0/0 raises ``MapError``.
+        One iterate of the orbit kernel: the input chart follows
+        ``chart_coords``; a zero denominator or a non-finite quotient gives
+        ∞, and 0/0 raises ``MapError``.
         """
-        chart, t = chart_coords(z)
-        a, b = self._horner[chart]
-        n = 0j
-        for c in a:
-            n = n * t + c
-        d = 0j
-        for c in b:
-            d = d * t + c
-        if d == 0:
-            if n == 0:
-                raise MapError("0/0 at evaluation: fraction not reduced")
-            return None
-        val = n / d
-        return val if cmath.isfinite(val) else None
+        out = []
+        self.iterate(z, 1, out)
+        return out[0]
 
     def evaluate(self, z):
         """f(z) as a SpherePoint, computed in the stable chart (see ``step``)."""

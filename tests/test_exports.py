@@ -1,5 +1,6 @@
 """The public names of the package are the entry points the README lists."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -38,3 +39,37 @@ def test_sphere_distance_lives_in_ratmap():
     rule = re.compile(r"def \w*distance|_reciprocal")
     owners = {p.stem for p in src.glob("*.py") if rule.search(p.read_text())}
     assert owners <= {"ratmap"}
+
+
+def _owners(test):
+    """(module, innermost enclosing function or "") of each node of the
+    package's source for which test holds."""
+    found = set()
+
+    def visit(node, module, owner):
+        if test(node):
+            found.add((module, owner))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in Path(ratdyn.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_one_orbit_kernel():
+    # every orbit step runs through the kernel: only _orbit_kernel, which
+    # builds it, reads the Horner coefficients, and only ratmap compiles
+    # Python source
+    def reads_horner(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name == "_horner" and isinstance(node.ctx, ast.Load)
+
+    def compiles(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("exec", "eval", "compile"))
+
+    assert _owners(reads_horner) <= {("ratmap", "_orbit_kernel")}
+    assert {module for module, _ in _owners(compiles)} <= {"ratmap"}

@@ -353,6 +353,20 @@ def equivalence_cases():
     return cases
 
 
+def fail_at(f, fails):
+    """Replace f's orbit kernel entry by one that steps one iterate at a
+    time and raises MapError instead of stepping from a z where fails(z)."""
+
+    def iterate(z, n, out):
+        for _ in range(n):
+            if fails(z):
+                raise MapError("0/0 at evaluation: fraction not reduced")
+            RationalMap.iterate(f, z, 1, out)
+            z = out[-1]
+
+    f.iterate = iterate
+
+
 class TestBlockTracker:
     @pytest.mark.parametrize("blocks", [(64, 8192), (3, 16)])
     @pytest.mark.parametrize("name", list(EQUIVALENCE_MAPS))
@@ -364,6 +378,18 @@ class TestBlockTracker:
             tails, orbit_keys = scalar_tails(f, cycles, anns, budget)
             assert block_tails(f, cycles, anns, budget) == tails, budget
             assert block_orbit_keys(f, cycles, anns, budget) == orbit_keys, budget
+
+    @pytest.mark.parametrize("name", ["super", "through-inf"])
+    def test_landing_on_an_earlier_block(self, equivalence_cases, name, monkeypatch):
+        # one iterate per block: the landing revisits an earlier block's key
+        # in a block that holds no key twice
+        monkeypatch.setattr(orbits, "_BLOCK_FIRST", 1)
+        monkeypatch.setattr(orbits, "_BLOCK_MAX", 1)
+        f, cycles, anns = equivalence_cases[name]
+        tails, orbit_keys = scalar_tails(f, cycles, anns, 100)
+        assert {t[0] for t in tails} == {KIND_BOUNDED}
+        assert block_tails(f, cycles, anns, 100) == tails
+        assert block_orbit_keys(f, cycles, anns, 100) == orbit_keys
 
     def test_every_detector_is_exercised(self, equivalence_cases):
         decided = set()
@@ -400,27 +426,15 @@ class TestBlockTracker:
         expected = block_tails(f, cycles, anns, 100)
         failing = parse_map("z^2 - 1")
         calls_at_minus_one = iter(range(10**6))
-
-        def step(z):
-            # the fourth step, f(-1) a second time, raises; the loop stops at step 2
-            if z == -1 and next(calls_at_minus_one) >= 1:
-                raise MapError("0/0 at evaluation: fraction not reduced")
-            return RationalMap.step(failing, z)
-
-        failing.step = step
+        # the fourth step, f(-1) a second time, raises; the loop stops at step 2
+        fail_at(failing, lambda z: z == -1 and next(calls_at_minus_one) >= 1)
         assert block_tails(failing, cycles, anns, 100) == expected
 
     def test_map_error_before_any_decision_is_raised(self, equivalence_cases):
         f, cycles, anns = equivalence_cases["siegel"]
         failing = parse_map("z^2 + c", {"c": C_G})
         calls = iter(range(10**6))
-
-        def step(z):
-            if next(calls) >= 100:
-                raise MapError("0/0 at evaluation: fraction not reduced")
-            return RationalMap.step(failing, z)
-
-        failing.step = step
+        fail_at(failing, lambda z: next(calls) >= 100)
         with pytest.raises(MapError):
             classify_tails(failing, cycles, anns, budget=1000)
 

@@ -1,4 +1,9 @@
-"""Sphere points, rational map evaluation, critical divisors, forward thickening."""
+"""Sphere points, rational map evaluation, the orbit kernel, critical divisors,
+forward thickening."""
+
+import cmath
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ from hypothesis import strategies as st
 
 from ratdyn.kernel import Polynomial
 from ratdyn.ratmap import (
+    _KERNELS,
+    CHART_RADIUS,
     SNAP_TOL,
     MapError,
     RationalMap,
@@ -20,6 +27,7 @@ from ratdyn.ratmap import (
     parse_map,
     raw_array,
     snap_keys,
+    _orbit_kernel,
 )
 
 from conftest import coeff_or_zero, finite_complex
@@ -137,6 +145,141 @@ class TestParseAndEvaluate:
         f = RationalMap(Polynomial([-1, 0, 1]), Polynomial([-1, 1]))
         assert f.degree == 1
         assert abs(f.evaluate(1.0).value - 2.0) < 1e-9
+
+
+def oracle_step(horner, z):
+    """One iterate as ``RationalMap.step`` computed it before the orbit
+    kernel (a Horner loop per chart): the kernel's oracle."""
+    if z is None:
+        chart, t = "w", 0j
+    elif abs(z) <= CHART_RADIUS:
+        chart, t = "z", z
+    else:
+        chart, t = "w", 1.0 / z
+    a, b = horner[chart]
+    n = 0j
+    for c in a:
+        n = n * t + c
+    d = 0j
+    for c in b:
+        d = d * t + c
+    if d == 0:
+        if n == 0:
+            raise MapError("0/0 at evaluation: fraction not reduced")
+        return None
+    val = n / d
+    return val if cmath.isfinite(val) else None
+
+
+def oracle_horner(num, den, rnum, rden):
+    """The oracle's Horner tuples (highest degree first) of both charts."""
+    h = [tuple(complex(c) for c in p.coeffs[::-1]) for p in (num, den, rnum, rden)]
+    return {"z": (h[0], h[1]), "w": (h[2], h[3])}
+
+
+def oracle_orbit(horner, z, n):
+    """(the iterates before any MapError, the MapError or None)."""
+    out = []
+    try:
+        for _ in range(n):
+            z = oracle_step(horner, z)
+            out.append(z)
+    except MapError as exc:
+        return out, exc
+    return out, None
+
+
+def bits(zs):
+    """Raw values as bytes, so that signed zeros count."""
+    return [z if z is None or isinstance(z, str) else struct.pack("<dd", z.real, z.imag)
+            for z in zs]
+
+
+GOLDEN_LAM = cmath.exp(2j * math.pi * (math.sqrt(5) - 1) / 2)
+BLASCHKE_LAM = complex(-0.7493998964975742, -0.6621176595813051)
+# name -> (map, its exact finite poles)
+KERNEL_MAPS = {
+    "siegel": (parse_map("z^2 + c", {"c": GOLDEN_LAM / 2 - GOLDEN_LAM**2 / 4}), []),
+    "lattes": (parse_map("(z^2+1)^2 / (4*z^3 - 4*z)"), [0j, 1 + 0j, -1 + 0j]),
+    "blaschke-herman": (parse_map("lam * z^2 * (z - 4) / (1 - 4*z)", {"lam": BLASCHKE_LAM}),
+                        [0.25 + 0j]),
+    "poles": (parse_map("1/(z^2 - 1)"), [1 + 0j, -1 + 0j]),  # pole -> ∞ -> 0 -> -1 -> ∞
+    "mobius": (parse_map("z/(1 + z)"), [-1 + 0j]),
+    # z^5 + (0.5 - 0i) over z^2 + 0.3: the constant term's imaginary part is -0.0
+    "signed-zero": (RationalMap([complex(0.5, -0.0), 0, 0, 0, 0, 1], [0.3, 0, 1]), []),
+    # i z^2 with every zero part -0.0: f(-0 - 0i) is +0j only because Horner
+    # starts from 0j * t + c, not from the leading coefficient c
+    "signed-zero-lead": (RationalMap([complex(-0.0, -0.0), complex(-0.0, -0.0),
+                                      complex(-0.0, 1.0)], [complex(1.0, -0.0)]), []),
+}
+KERNEL_STARTS = [None, 0j, complex(-0.0, -0.0), 2 + 0j, 2j, math.sqrt(2) * (1 + 1j)]
+
+
+def kernel_case(name):
+    f, poles = KERNEL_MAPS[name]
+    return f, oracle_horner(f.num, f.den, f._rnum, f._rden), poles
+
+
+def assert_kernel_is_the_oracle(iterate, horner, z, n):
+    want, error = oracle_orbit(horner, z, n)
+    got = ["before"]  # the kernel appends to what the list holds
+    if error is None:
+        iterate(z, n, got)
+    else:
+        with pytest.raises(MapError):
+            iterate(z, n, got)
+    assert bits(got) == bits(["before"] + want)
+
+
+class TestOrbitKernel:
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("name", list(KERNEL_MAPS))
+    def test_iterates_are_the_scalar_steps_bit_for_bit(self, name, n):
+        f, horner, poles = kernel_case(name)
+        for z in KERNEL_STARTS + poles:
+            assert_kernel_is_the_oracle(f.iterate, horner, z, n)
+            assert bits([f.step(z)]) == bits([oracle_step(horner, z)])
+
+    @given(z=finite_complex(6.0), name=st.sampled_from(list(KERNEL_MAPS)),
+           n=st.sampled_from([0, 1, 1000]))
+    def test_iterates_from_any_point(self, z, name, n):
+        f, horner, _ = kernel_case(name)
+        assert_kernel_is_the_oracle(f.iterate, horner, z, n)
+
+    def test_poles_then_infinity_then_zero(self):
+        f, _, _ = kernel_case("poles")
+        out = []
+        f.iterate(1 + 0j, 3, out)
+        assert out == [None, 0j, -1 + 0j]
+
+    def test_signed_zero_coefficient_is_kept(self):
+        # f(-0 - 0i) = (0.5 - 0i)/0.3: the imaginary part keeps the sign of the
+        # constant term's, which a coefficient written out by repr would lose
+        f, horner, _ = kernel_case("signed-zero")
+        assert math.copysign(1.0, horner["z"][0][-1].imag) == -1.0
+        plus = RationalMap([0.5, 0, 0, 0, 0, 1], [0.3, 0, 1])
+        for g, sign in ((f, -1.0), (plus, 1.0)):
+            image = g.step(complex(-0.0, -0.0))
+            assert image == 0.5 / 0.3 and math.copysign(1.0, image.imag) == sign
+
+    def test_map_error_leaves_the_earlier_iterates(self):
+        # the unreduced (z - 1)/(z^2 - 1): -1 -> ∞ -> 0 -> 1, and 0/0 at 1
+        pair = (Polynomial([-1, 1]), Polynomial([-1, 0, 1]),
+                Polynomial([0, 1, -1]), Polynomial([1, 0, -1]))
+        kernel, horner = _orbit_kernel(*pair), oracle_horner(*pair)
+        out = ["before"]
+        with pytest.raises(MapError):
+            kernel(-1 + 0j, 10, out)
+        assert out == ["before", None, 0j, 1]
+        for z in (-1 + 0j, None, 0j, 1 + 0j):
+            assert_kernel_is_the_oracle(kernel, horner, z, 10)
+
+    def test_one_compiled_kernel_per_shape(self):
+        parse_map("z^2 + 0.25").step(0j)
+        shapes = dict(_KERNELS)
+        g = parse_map("z^2 - 1")
+        g.step(0j)
+        assert _KERNELS == shapes
 
 
 class TestCriticalDivisor:

@@ -31,12 +31,13 @@ region order), so the result is the one-iterate-at-a-time loop's
 whatever the block size.  A ``MapError`` raised by a step past that
 iterate is dropped: the one-at-a-time loop never takes that step.
 
-The landing detector sorts each block's snap keys once.  A clean block,
-with no key twice and none met in an earlier block (every block of a
-Wild orbit is clean), only merges its sorted keys into the orbit's key
-set.  The exact first-revisit search runs only in the block where the
-orbit lands, and takes the step of the earlier visit from the kept
-per-block keys.
+The landing detector sorts each block's snap keys once and merges them
+with the orbit's sorted key set; two equal adjacent keys in the merge
+show a key met twice.  A clean block, with no key twice and none met in
+an earlier block (every block of a Wild orbit is clean), keeps the merge
+as the key set.  The exact first-revisit search runs only in the block
+where the orbit lands, and takes the step of the earlier visit from the
+kept per-block keys.
 
 Tails (classes of critical points with eventually-identical orbits) are
 merged via snapped forward-orbit intersection: each orbit's snap keys
@@ -206,28 +207,26 @@ def _runs(flags, carry):
     return np.where(last_false < 0, carry + idx + 1, idx - last_false)
 
 
-def _insert(keys, slots, new):
-    """keys with the entries of new inserted before the given slots
-    (their ``np.searchsorted`` positions in keys; new sorted)."""
-    slots = slots + np.arange(len(new))
-    old = np.ones(len(keys) + len(new), dtype=bool)
-    old[slots] = False
-    out = np.empty(len(old), dtype=keys.dtype)
-    out[slots], out[old] = new, keys
-    return out
+def _merge(keys, new):
+    """The sorted key arrays keys and new merged into one sorted array.
 
-
-def _find(keys, new):
-    """(slots, found): the ``np.searchsorted`` positions of new in the
-    sorted keys, and whether keys holds each entry of new there.
-
-    The key sets use these and ``_insert``, not ``np.intersect1d`` and
+    One stable sort of the concatenation merges the two sorted runs in
+    linear time.  The key sets use this, not ``np.intersect1d`` and
     ``np.union1d``, which page in about 0.8 MB more of numpy on first use
     (a plain ``np.unique``, hashed in numpy 2, pages in about 1.2 MB)."""
-    slots = np.searchsorted(keys, new)
-    if not len(keys):
-        return slots, np.zeros(len(new), dtype=bool)
-    return slots, keys[np.minimum(slots, len(keys) - 1)] == new
+    merged = np.concatenate((keys, new))
+    merged.sort(kind="stable")
+    return merged
+
+
+def _repeats(merged):
+    """Whether each entry of a ``_merge`` result after the first equals the one before."""
+    return merged[1:] == merged[:-1]
+
+
+def _distinct(merged, repeat):
+    """A ``_merge`` result with each entry that repeats the one before dropped."""
+    return merged[np.concatenate(([True], ~repeat))]
 
 
 def _first_revisit(bkeys, keys, past, base):
@@ -238,7 +237,9 @@ def _first_revisit(bkeys, keys, past, base):
     their keys, concatenated in step order, hold each key once and
     ``keys`` is their sorted set."""
     uniq, first, inverse = np.unique(bkeys, return_index=True, return_inverse=True)
-    _, seen = _find(keys, uniq)
+    seen = np.zeros(len(uniq), dtype=bool)
+    if len(keys):
+        seen = keys[np.minimum(np.searchsorted(keys, uniq), len(keys) - 1)] == uniq
     revisit = seen[inverse] | (first[inverse] < np.arange(len(bkeys)))
     k = int(np.flatnonzero(revisit)[0])
     if seen[inverse[k]]:
@@ -248,10 +249,9 @@ def _first_revisit(bkeys, keys, past, base):
 
 def _shared_union(a, b):
     """Sorted union of the sorted key arrays a and b if they share a key, else None."""
-    slots, found = _find(a, b)
-    if not found.any():
-        return None
-    return _insert(a, slots[~found], b[~found])
+    merged = _merge(a, b)
+    repeat = _repeats(merged)
+    return _distinct(merged, repeat) if repeat.any() else None
 
 
 class _OrbitTracker:
@@ -303,10 +303,10 @@ class _OrbitTracker:
 
             # exact landing: first revisit of a snap key, earlier block or this one
             bkeys = snap_keys(zs)
-            sorted_keys = np.sort(bkeys)
-            slots, seen = _find(keys, sorted_keys)
-            clean = not seen.any() and not (sorted_keys[1:] == sorted_keys[:-1]).any()
-            if not clean:
+            merged = _merge(keys, np.sort(bkeys))
+            # the mask is dropped at once: kept through the detectors below, it
+            # raised the pipeline's peak RSS by about 2 MB (heap fragmentation)
+            if _repeats(merged).any():
                 k, prev = _first_revisit(bkeys, keys, past, base)
                 fired.append((k, KIND_BOUNDED, self._landing_cycle(block[k]),
                               {"preperiod": prev, "loop": base + k - prev}))
@@ -345,15 +345,13 @@ class _OrbitTracker:
             # the earliest step decides; min keeps the first of equal steps
             if fired:
                 k, kind, target, stats = min(fired, key=lambda e: e[0])
-                new = np.sort(bkeys[: k + 1])
-                slots, seen = _find(keys, new)
-                seen[1:] |= new[1:] == new[:-1]  # each key once
-                keys = _insert(keys, slots[~seen], new[~seen])
+                merged = _merge(keys, np.sort(bkeys[: k + 1]))
+                keys = _distinct(merged, _repeats(merged))
                 return {"kind": kind, "target": target, "steps": base + k,
                         "keys": keys, "stats": stats}
             if error is not None:
                 raise error
-            keys = _insert(keys, slots, sorted_keys)
+            keys = merged
             past.append(bkeys)
             base += len(block)
             size = min(2 * size, _BLOCK_MAX)

@@ -14,10 +14,17 @@ and a ``SpherePoint`` carries one in ``value``.  Their array forms
 array, and round exactly as the scalar rules do, so a block of iterates is
 judged as the iterates one by one.
 
+A finite value whose modulus overflows a double lies beyond radius 2:
+``chart_coords`` and the orbit kernel put it in the w chart, ``distance``
+measures it as ``distances`` does (inf where a modulus overflows), and no
+rule raises on it.
+
 Orbits run through one orbit kernel per map (``RationalMap.iterate``): a
-function, generated for the lengths of the map's Horner coefficient
-tuples, that steps n iterates in one Python frame.  ``RationalMap.step``
-is one iterate of it.
+function, generated for the coefficient pattern of the map's Horner tuples
+(a code per coefficient saying which of the exact rules R1-R4 of
+``_orbit_kernel`` apply), that steps n iterates in one Python frame.  Maps
+with the same pattern, such as z^2 + c for each parsed c != 0, share one
+compiled kernel.  ``RationalMap.step`` is one iterate of it.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from .parser import ExprParser
 
 SNAP_TOL = 1e-7
 CHART_RADIUS = 2.0
-_NAN = complex("nan")
 _KEY_OFFSET = 1 << 30  # |coordinate| / SNAP_TOL <= 2e7 in either chart
 
 
@@ -44,15 +50,18 @@ def chart_coords(z):
     """(chart, coordinate) of a raw value: 'z' for |z| <= 2, else 'w' with w = 1/z."""
     if z is None:
         return "w", 0j
-    if abs(z) <= CHART_RADIUS:
-        return "z", z
+    try:
+        if abs(z) <= CHART_RADIUS:
+            return "z", z
+    except OverflowError:  # a finite z whose modulus overflows is near ∞
+        pass
     return "w", 1.0 / z
 
 
 def raw_array(values):
     """Raw values (complex, or None for ∞) in both charts: a (2, n) complex
     array of z (∞ as NaN) and w = 1/z (0 at ∞, NaN at 0)."""
-    z = np.array([_NAN if v is None else v for v in values], dtype=complex)
+    z = np.array(values, dtype=complex)  # numpy maps None to NaN
     w = _reciprocal(z)
     w[np.isnan(z.real)] = 0
     return np.array([z, w])
@@ -89,28 +98,45 @@ def distance(a, b):
     """Chart-aware distance of raw values: min of |z1-z2| and |w1-w2| where defined."""
     d = math.inf
     if a is not None and b is not None:
-        d = abs(a - b)
+        d = _modulus(a - b)
     if a != 0 and b != 0:
         w1 = 0j if a is None else 1.0 / a
         w2 = 0j if b is None else 1.0 / b
-        d = min(d, abs(w1 - w2))
+        d = min(d, _modulus(w1 - w2))
     return d
 
 
+def _modulus(u):
+    """abs(u), or inf where the modulus of a finite u overflows (as ``moduli``)."""
+    try:
+        return abs(u)
+    except OverflowError:
+        return math.inf
+
+
+@np.errstate(over="ignore")  # a difference that overflows is inf, as in ``distance``
 def distances(zs, b):
     """``distance`` from each entry of a ``raw_array`` to the raw value b."""
     z, w = zs
     inf = np.isnan(z.real)
-    d = np.full(z.shape, np.inf) if b is None else np.where(inf, np.inf, moduli(z - b))
+    d = np.full(z.shape, np.inf) if b is None else np.where(inf, np.inf, _hypot(z - b))
     if b != 0:
-        dw = moduli(w - (0j if b is None else 1.0 / b))
+        dw = _hypot(w - (0j if b is None else 1.0 / b))
         d = np.where((z != 0) & (dw < d), dw, d)
     return d
 
 
+@np.errstate(over="ignore")
 def moduli(u):
     """|u| over a complex array, rounded as Python's scalar ``abs`` (a hypot;
-    ``np.abs`` differs in the last bit)."""
+    ``np.abs`` differs in the last bit); inf where it overflows."""
+    return _hypot(u)
+
+
+def _hypot(u):
+    """``moduli`` in the caller's error state: ``distances`` sets the state
+    once for its two moduli (a setting costs about 1.5 µs, and
+    ``cycles.find_cycles`` calls ``distances`` once per point it matches)."""
     return np.hypot(u.real, u.imag)
 
 
@@ -180,39 +206,99 @@ def _horner(p):
     return tuple(complex(c) for c in p.coeffs[::-1])
 
 
-_KERNELS = {}  # Horner lengths -> compiled kernel maker, one per shape
+_KERNELS = {}  # coefficient pattern -> compiled kernel maker, one per pattern
+_FINITE_BOUND = 1e300  # R4: a Horner sum this small cannot overflow
+
+
+def _codes(cs):
+    """The pattern of one Horner tuple: a code per coefficient, 'c' where R1
+    makes the first step the coefficient, 'm' where R2 drops the addition of
+    a -0-0j coefficient, 'a' for the full step (see ``_orbit_kernel``)."""
+    codes = ""
+    for k, c in enumerate(cs):
+        neg = [x == 0 and math.copysign(1.0, x) < 0 for x in (c.real, c.imag)]
+        codes += "m" if all(neg) else "c" if k == 0 and not any(neg) else "a"
+    return codes
+
+
+def _finite_quotient(num, b):
+    """R4: whether num(t) / b is finite for every |t| <= 2 and every
+    intermediate of its Horner loop (num highest degree first, b a constant)."""
+    size = sum((abs(c.real) + abs(c.imag)) * 2.0 ** k for k, c in enumerate(num[::-1]))
+    return size <= _FINITE_BOUND * max(abs(b.real), abs(b.imag))
 
 
 def _orbit_kernel(num, den, rnum, rden):
-    """The orbit kernel of f = num/den, whose w-chart fraction is rnum/rden:
-    a function (z, n, out) appending the n iterates f(z), ..., f^n(z) of the
-    raw value z to the list out.
+    """The orbit kernel of f = num/den, whose w-chart fraction is rnum/rden
+    (neither denominator the zero polynomial): a function (z, n, out)
+    appending the n iterates f(z), ..., f^n(z) of the raw value z to the
+    list out.
 
     It runs ``chart_coords``'s chart rule and the Horner loops of both
     charts, unrolled, in one Python frame, with the operations of one
-    iterate in their loop order (starting from 0j * t + c), so each iterate
-    is bit for bit the loop's.  The source depends on the four Horner
-    lengths only and is compiled once per shape; the coefficients are the
-    maker's arguments (never ``repr``-ed into the source, which would lose
-    -0.0, inf and nan) and become locals once per call.
+    iterate in their loop order, so each iterate is bit for bit the loop
+    that starts each Horner sum from 0j * t + c.  A finite z whose modulus
+    overflows steps in the w chart, as ``chart_coords`` puts it there.  The
+    chart coordinate t is always finite (|t| <= 2, |t| < 1/2, or 0j at ∞),
+    and the source leaves out the work that provably changes no bit:
+
+    - R1: the first step 0j * t + c0 is c0 when neither part of c0 is -0.0
+      (0j * t has ±0 parts, and ±0 + x = x for every x but -0.0);
+    - R2: a step e * t + c is e * t when both parts of c are -0.0
+      (x + -0.0 = x for every x);
+    - R3: a denominator that is a constant under R1 (a polynomial's z chart)
+      drops the den == 0 and 0/0 tests, but keeps the division
+      (num / (1+0j) can turn a -0.0 part into +0.0);
+    - R4: such a z chart drops the finiteness test of the quotient when
+      sum (|Re a_k| + |Im a_k|) 2^k <= 1e300 max(|Re b|, |Im b|)
+      (``_finite_quotient``): with |t| <= 2 each Horner intermediate is at
+      most the sum, and each part of the quotient (Smith's division, as
+      Python divides) at most twice the sum over max(|Re b|, |Im b|).
+
+    Elsewhere den == 0 is tested as ``not den``, which is the same test.
+    The source depends on the coefficient pattern only (``_codes`` of the
+    four tuples and R4's verdict) and is compiled once per pattern; the
+    coefficients are the maker's arguments (never ``repr``-ed into the
+    source, which would lose -0.0, inf and nan) and become locals once per
+    call.
     """
     horner = tuple(_horner(p) for p in (num, den, rnum, rden))
-    shape = tuple(map(len, horner))
-    make = _KERNELS.get(shape)
+    key = tuple(map(_codes, horner))
+    key += (key[1] == "c" and _finite_quotient(horner[0], horner[1][0]),)
+    make = _KERNELS.get(key)
     if make is None:
-        make = _KERNELS[shape] = _compile_kernel(shape)
+        make = _KERNELS[key] = _compile_kernel(key)
     return make(*horner)
 
 
-def _compile_kernel(shape):
-    """The kernel maker for Horner tuples of these lengths, compiled from source."""
-    names = [[f"{h}{i}" for i in range(size)] for h, size in zip(("a", "b", "c", "d"), shape)]
+def _compile_kernel(key):
+    """The kernel maker for one coefficient pattern, compiled from source."""
+    *codes, finite = key
+    names = [[f"{h}{i}" for i in range(len(c))] for h, c in zip("abcd", codes)]
+    steps = {"c": "{c}", "m": "({e} * {t})", "a": "({e} * {t} + {c})"}
 
-    def horner(cs, t):
+    def horner(k, t):
         expr = "0j"
-        for c in cs:
-            expr = f"({expr} * {t} + {c})"
+        for c, code in zip(names[k], codes[k]):
+            expr = steps[code].format(e=expr, t=t, c=c)
         return expr
+
+    def quotient(k, t, finite, depth):
+        """Lines setting z to the quotient of Horner tuples k and k + 1 at t,
+        indented by depth."""
+        num, den = horner(k, t), horner(k + 1, t)
+        if codes[k + 1] == "c":  # R3
+            lines, indent = [f"z = {num} / {den}"], ""
+        else:
+            lines, indent = [f"num = {num}", f"den = {den}",
+                             "if den:",
+                             "    z = num / den"], "    "
+        if not finite:  # R4 does not apply
+            lines += [indent + "if not isfinite(z):", indent + "    z = None"]
+        if indent:
+            lines += ["elif num:", "    z = None", "else:",
+                      "    raise MapError('0/0 at evaluation: fraction not reduced')"]
+        return "\n".join(" " * depth + line for line in lines)
 
     src = f"""
 def make(za, zb, wa, wb):
@@ -223,26 +309,20 @@ def make(za, zb, wa, wb):
         {", ".join(names[3])}, = wb
         append, radius, isfinite = out.append, CHART_RADIUS, cmath.isfinite
         for _ in range(n):
-            if z is not None and abs(z) <= radius:
-                num = {horner(names[0], "z")}
-                den = {horner(names[1], "z")}
-            else:
-                t = 0j if z is None else 1.0 / z
-                num = {horner(names[2], "t")}
-                den = {horner(names[3], "t")}
-            if den == 0:
-                if num == 0:
-                    raise MapError("0/0 at evaluation: fraction not reduced")
-                z = None
-            else:
-                z = num / den
-                if not isfinite(z):
-                    z = None
+            try:
+                if z is not None and abs(z) <= radius:
+{quotient(0, "z", finite, 20)}
+                else:
+                    t = 0j if z is None else 1.0 / z
+{quotient(2, "t", False, 20)}
+            except OverflowError:  # |z| beyond the largest double
+                t = 1.0 / z
+{quotient(2, "t", False, 16)}
             append(z)
     return kernel
 """
     scope = {"CHART_RADIUS": CHART_RADIUS, "MapError": MapError, "cmath": cmath}
-    exec(compile(src, f"<ratmap orbit kernel {shape}>", "exec"), scope)
+    exec(compile(src, f"<ratmap orbit kernel {key}>", "exec"), scope)
     return scope["make"]
 
 

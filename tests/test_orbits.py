@@ -34,6 +34,7 @@ from ratdyn.ratmap import (
     raw_array,
 )
 
+Z_TINY = complex(3.9e-309, -3.9e-309)
 GOLDEN = (np.sqrt(5) - 1) / 2
 LAM_G = np.exp(2j * np.pi * GOLDEN)
 C_G = LAM_G / 2 - LAM_G**2 / 4
@@ -183,6 +184,14 @@ class TestTranscript:
             (3, -1.0, 0.0, "z"),
             (4, 0.0, 0.0, "w"),
         ]
+
+    def test_rows_through_an_overflowing_modulus(self):
+        # 1/z + 1/2 maps Z_TINY to 1.28e308 (1 + i), whose |z| overflows a
+        # double: its row is in the w chart, at 1/z = ±0
+        f = parse_map("1/z + 0.5")
+        rows = orbit_transcript_rows(f, Z_TINY, 3)
+        assert rows == [(0, Z_TINY.real, Z_TINY.imag, "z"), (1, 0.0, 0.0, "w"),
+                        (2, 0.5, 0.0, "z"), (3, 0.4, 0.0, "w")]
 
 
 class TestAnnotatedRegions:
@@ -437,6 +446,19 @@ class TestBlockTracker:
         fail_at(failing, lambda z: next(calls) >= 100)
         with pytest.raises(MapError):
             classify_tails(failing, cycles, anns, budget=1000)
+
+    def test_an_iterate_whose_modulus_overflows(self):
+        # the second iterate of Z_TINY under 1/z + 1/2 has |z| beyond the
+        # largest double; the orbit then converges to the attracting fixed point
+        f = parse_map("1/z + 0.5")
+        cycles = analyze_cycles(f, 1)
+        for budget in (1, 2, 100):
+            tracker = _OrbitTracker(f, cycles, [], budget)
+            got, want = tracker.run(SpherePoint(Z_TINY)), scalar_run(tracker, SpherePoint(Z_TINY))
+            assert (got["kind"], got["target"], got["steps"], got["stats"]) == (
+                want["kind"], want["target"], want["steps"], want["stats"])
+            assert got["keys"].tolist() == sorted(_key_int(k) for k in want["keys"])
+        assert (got["kind"], got["target"]) == (KIND_TAME, "C1")
 
     def test_orbit_keys_are_sorted_int64(self, equivalence_cases):
         f, cycles, anns = equivalence_cases["through-inf"]

@@ -4,15 +4,17 @@ forward thickening."""
 import cmath
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ratdyn import ratmap
+from ratdyn.cli import main
 from ratdyn.kernel import Polynomial
 from ratdyn.ratmap import (
-    _KERNELS,
     CHART_RADIUS,
     SNAP_TOL,
     MapError,
@@ -69,7 +71,8 @@ class TestSpherePoint:
         z = np.concatenate([
             rng.standard_normal(3000) + 1j * rng.standard_normal(3000),
             10.0 ** rng.uniform(-9, 9, 3000) * np.exp(2j * np.pi * rng.random(3000)),
-            [0, -0.0, 2, 2j, -2 + 1e-300j, 1e-320, 5e-8, -5e-8j, 1.5e-7, 2.5e-7],
+            [0, -0.0, 2, 2j, -2 + 1e-300j, 1e-320, 5e-8, -5e-8j, 1.5e-7, 2.5e-7,
+             complex(-0.0, -0.0), 3 + 4j, 1e300 + 1e300j],
         ])
         raw = [complex(v) for v in z] + [None]  # raw values, as RationalMap.step gives
         zs = raw_array(raw)
@@ -86,6 +89,15 @@ class TestSpherePoint:
                 assert d[k] == distance(v, b)
                 want = local_coord(v, b)
                 assert np.isnan(m[k]) if want is None else m[k] == abs(want)
+
+    def test_raw_array_layout(self):
+        # numpy reads None as NaN: z is NaN and w is 0 at ∞, and w is NaN at 0
+        raw = [None, 0j, complex(-0.0, -0.0), 3 + 4j, 1e300 + 1e300j]
+        z, w = raw_array(raw)
+        assert np.isnan(z[0]) and w[0] == 0
+        assert z[1:].tolist() == raw[1:]
+        assert np.isnan(w[1]) and np.isnan(w[2])
+        assert w[3:].tolist() == [1.0 / v for v in raw[3:]]
 
     @pytest.mark.parametrize("zi,zo", [(3.0, 0.5), (0.5, None), (None, 5.0), (None, None)])
     def test_local_fraction_is_f_in_local_coordinates(self, zi, zo):
@@ -197,7 +209,7 @@ def bits(zs):
 
 GOLDEN_LAM = cmath.exp(2j * math.pi * (math.sqrt(5) - 1) / 2)
 BLASCHKE_LAM = complex(-0.7493998964975742, -0.6621176595813051)
-# name -> (map, its exact finite poles)
+# name -> (map, its exact finite poles and the starts where its rules show)
 KERNEL_MAPS = {
     "siegel": (parse_map("z^2 + c", {"c": GOLDEN_LAM / 2 - GOLDEN_LAM**2 / 4}), []),
     "lattes": (parse_map("(z^2+1)^2 / (4*z^3 - 4*z)"), [0j, 1 + 0j, -1 + 0j]),
@@ -211,8 +223,34 @@ KERNEL_MAPS = {
     # starts from 0j * t + c, not from the leading coefficient c
     "signed-zero-lead": (RationalMap([complex(-0.0, -0.0), complex(-0.0, -0.0),
                                       complex(-0.0, 1.0)], [complex(1.0, -0.0)]), []),
+    # the rule cases of the pattern kernel (their patterns: RULE_PATTERNS)
+    # i z^2 divided by -1: Horner (-0 + 1i, -0 - 0i, -0 - 0i) over 1
+    "lead-neg-zero-part": (RationalMap([0, 0, -1j], [-1]), []),
+    # i z^2 as written: Horner (1i, 0j, 0j) over 1
+    "trailing-pos-zero": (RationalMap([0, 0, 1j], [1]), []),
+    # 5e307 z^2 overflows at |z| = 2, in a chart with a constant denominator
+    "constant-den-overflow": (RationalMap([0, 0, 5e307], [1]), []),
+    # 1e300 / (z - 0.1) overflows near its pole, in a rational chart
+    "quotient-overflow": (RationalMap([1e300], [-0.1, 1]), [0.1 + 0j, 0.1 + 1e-10j]),
+    # 1/z^2: the constant denominator is in the w chart
+    "w-constant-den": (parse_map("1/z^2"), [0j]),
 }
-KERNEL_STARTS = [None, 0j, complex(-0.0, -0.0), 2 + 0j, 2j, math.sqrt(2) * (1 + 1j)]
+KERNEL_STARTS = [None, 0j, complex(-0.0, -0.0), 2 + 0j, 2j, math.sqrt(2) * (1 + 1j),
+                 complex(-1.0, -0.0), complex(-0.0, 1.0), complex(-0.0, -1.5),
+                 complex(0.5, -0.0), -1 + 0j,
+                 complex("nan"), complex("inf")]  # not raw values, but each steps to ∞
+# name -> the pattern its kernel compiles under: a code per Horner
+# coefficient of (num, den, rnum, rden), and whether R4 applies
+RULE_PATTERNS = {
+    "siegel": ("caa", "c", "caa", "caa", True),  # R1, R3 and R4
+    "blaschke-herman": ("camm", "aa", "ca", "aaaa", False),  # R2 twice
+    "lead-neg-zero-part": ("amm", "c", "a", "caa", True),  # no R1 for a -0.0 part
+    "trailing-pos-zero": ("caa", "c", "c", "caa", True),  # no R2 for a +0j
+    "constant-den-overflow": ("caa", "c", "c", "caa", False),  # R4's bound fails
+    "quotient-overflow": ("c", "ca", "ca", "ca", False),
+    "w-constant-den": ("c", "caa", "caa", "c", False),  # R3 in the w chart only
+}
+Z_TINY = complex(3.9e-309, -3.9e-309)  # 1/z + 1/2 maps it to a z whose |z| overflows
 
 
 def kernel_case(name):
@@ -274,12 +312,76 @@ class TestOrbitKernel:
         for z in (-1 + 0j, None, 0j, 1 + 0j):
             assert_kernel_is_the_oracle(kernel, horner, z, 10)
 
-    def test_one_compiled_kernel_per_shape(self):
-        parse_map("z^2 + 0.25").step(0j)
-        shapes = dict(_KERNELS)
-        g = parse_map("z^2 - 1")
-        g.step(0j)
-        assert _KERNELS == shapes
+    @pytest.mark.parametrize("name", list(RULE_PATTERNS))
+    def test_each_rule_case_compiles_its_pattern(self, name, monkeypatch):
+        monkeypatch.setattr(ratmap, "_KERNELS", {})
+        f, _, _ = kernel_case(name)
+        _orbit_kernel(f.num, f.den, f._rnum, f._rden)
+        assert list(ratmap._KERNELS) == [RULE_PATTERNS[name]]
+
+    def test_one_compiled_kernel_per_shape(self, monkeypatch):
+        # the shape is the coefficient pattern: every z^2 + c (c != 0) shares one
+        monkeypatch.setattr(ratmap, "_KERNELS", {})
+        for c in (0.25, -1, GOLDEN_LAM / 2 - GOLDEN_LAM**2 / 4, 0.3 - 0.02j):
+            parse_map("z^2 + c", {"c": c}).step(0j)
+        assert list(ratmap._KERNELS) == [RULE_PATTERNS["siegel"]]
+        parse_map("lam * z^2 * (z - 4) / (1 - 4*z)", {"lam": BLASCHKE_LAM}).step(0j)
+        assert list(ratmap._KERNELS)[1:] == [RULE_PATTERNS["blaschke-herman"]]
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--map", "z^2 - 1"],
+        ["cycles", "--map", "z^2 + c", "--param", "c=0.25+0i", "--max-period", "2"],
+        ["parabolic", "--map", "z + z^3", "--max-period", "1"],
+        ["tails", "--map", "z^2 - 1", "--max-period", "2", "--budget", "2000"],
+        ["count", "--map", "z + z^2", "--max-period", "2", "--table"],
+    ] + [["corpus-run", "--only", name] for name in ("petal-two", "lattes-deg4",
+                                                     "blaschke-herman")])
+    def test_a_cli_command_compiles_at_most_two_kernels(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(ratmap, "_KERNELS", {})
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(ratmap._KERNELS) <= 2
+
+
+class TestOverflowingModulus:
+    """A finite value whose modulus overflows a double lies in the w chart."""
+
+    f = parse_map("1/z + 0.5")
+    big = f.step(Z_TINY)
+
+    def test_the_modulus_overflows(self):
+        assert self.big == 1 / Z_TINY + 0.5 and cmath.isfinite(self.big)
+        with pytest.raises(OverflowError):
+            abs(self.big)
+
+    def test_chart_coords(self):
+        assert chart_coords(self.big) == ("w", 1.0 / self.big)
+
+    def test_step_and_iterate(self):
+        # t = 1/big is ±0, and the w chart gives f(∞) = 0.5
+        assert bits([self.f.step(self.big)]) == bits([0.5 + 0j])
+        out = []
+        self.f.iterate(Z_TINY, 1000, out)
+        want, _ = oracle_orbit(oracle_horner(self.f.num, self.f.den, self.f._rnum,
+                                             self.f._rden), 0.5 + 0j, 998)
+        assert bits(out) == bits([self.big, 0.5 + 0j] + want)
+
+    def test_distance_is_the_array_rule(self):
+        zs = raw_array([self.big, Z_TINY])
+        for b in (0j, 1.0 + 0j, None, -self.big, -Z_TINY):
+            assert distances(zs, b).tolist() == [distance(self.big, b), distance(Z_TINY, b)]
+        assert distance(self.big, 0j) == math.inf  # |big - 0| overflows; 0 has no w
+        assert distance(Z_TINY, None) == math.inf  # |1/Z_TINY - 0| overflows
+        assert distance(self.big, 1.0) == 1.0  # |w - 1| with w = ±0
+
+    def test_array_rules_are_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zs = raw_array([self.big, Z_TINY])
+            assert moduli(zs[0]).tolist() == [math.inf, abs(Z_TINY)]
+            assert (snap_keys(zs) >> 62).tolist() == [1, 0]
+            for b in (None, -self.big, -Z_TINY):
+                distances(zs, b)
 
 
 class TestCriticalDivisor:

@@ -18,33 +18,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .corpus import _bind_params, corpus_run, load_corpus, run_pipeline
-from .count import CountError
-from .cycles import CycleError, analyze_cycles, load_annotations
-from .extjet import FULL_JETS, TWO_JETS, JetSpec, jet_e1
+from .corpus import _bind_params, corpus_run, load_corpus, parabolic_json, run_pipeline
+from .cycles import analyze_cycles, load_annotations
+from .extjet import JetSpec, jet_e1
 from .orbits import DEFAULT_BUDGET, orbit_transcript_rows
-from .parabolic import ParabolicError
-from .parser import ParseError
-from .ratmap import MapError, RationalMap, SpherePoint, parse_map
-from .residue import (
-    QUAD_BUDGET,
-    FormDensity,
-    ResidueError,
-    dynamical_residue,
-    trace_csv_rows,
-)
+from .ratmap import RationalMap, SpherePoint, parse_map
+from .residue import QUAD_BUDGET, FormDensity, dynamical_residue, trace_csv_rows
 
-INPUT_ERRORS = (
-    ParseError,
-    MapError,
-    CycleError,
-    ParabolicError,
-    ResidueError,
-    CountError,
-    ValueError,
-    OSError,
-    KeyError,
-)
+# every ratdyn input error (ParseError, MapError, CycleError, ParabolicError,
+# ResidueError, CountError) is a ValueError
+INPUT_ERRORS = (ValueError, OSError, KeyError)
 
 
 def _parse_complex(text):
@@ -173,12 +156,7 @@ def _cmd_parabolic(args):
     f = _load_map(args)
     anns = _load_annotations(args)
     cycles = analyze_cycles(f, args.max_period, anns)
-    packages = {
-        f"C{i}": c.parabolic.to_json()
-        for i, c in enumerate(cycles)
-        if c.parabolic is not None
-    }
-    _emit({"parabolic": packages}, args)
+    _emit({"parabolic": parabolic_json(cycles)}, args)
     return 0
 
 
@@ -204,20 +182,14 @@ def _cmd_residue(args):
 
 
 def _cmd_tails(args):
+    if (args.orbit_csv is None) != (args.orbit_from is None):
+        raise ValueError("--orbit-csv and --orbit-from go together: pass both or neither")
     f = _load_map(args)
-    run = run_pipeline(f, _load_annotations(args), args.max_period, args.budget)
-    out = {
-        "tails": [t.to_json() for t in run.tails],
-        "split": run.split.to_json(),
-        "epsilons": run.epsilons,
-        "deltas": run.deltas,
-    }
-    if args.orbit_csv and args.orbit_from:
-        rows = orbit_transcript_rows(
-            f, _parse_point(args.orbit_from), args.orbit_len
-        )
+    report = run_pipeline(f, _load_annotations(args), args.max_period, args.budget).to_json()
+    if args.orbit_csv is not None:
+        rows = orbit_transcript_rows(f, _parse_point(args.orbit_from), args.orbit_len)
         _write_csv(args.orbit_csv, ("iterate", "re", "im", "chart"), rows)
-    _emit(out, args)
+    _emit({k: report[k] for k in ("tails", "split", "epsilons", "deltas")}, args)
     return 0
 
 
@@ -231,24 +203,14 @@ def _cmd_ext(args):
             point=_parse_point(args.point),
             period=args.period,
             order=args.jet_order,
-            jet_kind=TWO_JETS if args.two_jets else FULL_JETS,
         )
     ker, coker, stabilized = jet_e1(f, spec, r=args.rot_order)
     if spec.site == "global":
-        _emit({"global": {"ker": ker, "coker": coker}}, args)
+        out = {"global": {"ker": ker, "coker": coker}}
     else:
-        _emit(
-            {
-                "jet": {
-                    "ker": ker,
-                    "coker": coker,
-                    "stabilized": stabilized,
-                    "order": args.jet_order,
-                    "period": args.period,
-                }
-            },
-            args,
-        )
+        out = {"jet": {"ker": ker, "coker": coker, "stabilized": stabilized,
+                       "order": args.jet_order, "period": args.period}}
+    _emit(out, args)
     return 0
 
 
@@ -335,8 +297,9 @@ def build_parser():
     sp = sub.add_parser("tails", help="critical-orbit tails and marks")
     _add_map_args(sp)
     _add_pipeline_args(sp)
-    sp.add_argument("--orbit-csv", help="also dump one orbit transcript CSV")
-    sp.add_argument("--orbit-from", help="start point for the transcript")
+    sp.add_argument("--orbit-csv", help="also dump one orbit transcript CSV "
+                    "(with --orbit-from)")
+    sp.add_argument("--orbit-from", help="start point for the transcript (with --orbit-csv)")
     sp.add_argument("--orbit-len", type=int, default=100)
     sp.set_defaults(fn=_cmd_tails)
 
@@ -346,9 +309,8 @@ def build_parser():
     sp.add_argument("--period", type=int, default=1)
     sp.add_argument("--rot-order", type=int, default=1,
                     help="fold in this root-of-unity order via the first return")
-    sp.add_argument("--jet-order", type=int, default=6)
-    sp.add_argument("--two-jets", action="store_true",
-                    help="truncate at 2-jets instead of the full jet order")
+    sp.add_argument("--jet-order", type=int, default=6,
+                    help="jet truncation order (1 for 2-jets)")
     sp.set_defaults(fn=_cmd_ext)
 
     sp = sub.add_parser("count", help="audit the counting inequalities")

@@ -48,6 +48,11 @@ def _bind_params(params):
     return {k: complex(v[0], v[1]) for k, v in (params or {}).items()}
 
 
+def parabolic_json(cycles):
+    """The parabolic package of each parabolic cycle, keyed by cycle id C<i>."""
+    return {f"C{i}": c.parabolic.to_json() for i, c in enumerate(cycles) if c.parabolic is not None}
+
+
 @dataclass
 class PipelineReport:
     """What each stage of ``run_pipeline`` produced.
@@ -69,11 +74,7 @@ class PipelineReport:
         out = {
             "degree": self.f.degree,
             "cycles": [c.to_json() for c in self.cycles],
-            "parabolic": {
-                f"C{i}": c.parabolic.to_json()
-                for i, c in enumerate(self.cycles)
-                if c.parabolic is not None
-            },
+            "parabolic": parabolic_json(self.cycles),
             "tails": [t.to_json() for t in self.tails],
             "split": self.split.to_json(),
             "epsilons": self.epsilons,

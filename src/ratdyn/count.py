@@ -14,7 +14,7 @@ so a reader can re-derive both sides, plus caveats for the judgement calls
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cycles import (
     CLASS_ATTRACTING,
@@ -54,26 +54,7 @@ class CountReport:
     caveats: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "n_SD": self.n_SD,
-            "n_CR": self.n_CR,
-            "n_HR": self.n_HR,
-            "n_parabolic": self.n_parabolic,
-            "n_attracting": self.n_attracting,
-            "n_super": self.n_super,
-            "e_by_parabolic": dict(self.e_by_parabolic),
-            "delta": self.delta,
-            "epsilons": dict(self.epsilons),
-            "wild_tails": self.wild_tails,
-            "wild_ram_points": self.wild_ram_points,
-            "lhs_v": self.lhs_v,
-            "rhs_v": self.rhs_v,
-            "lhs_i": self.lhs_i,
-            "rhs_i": self.rhs_i,
-            "satisfied_v": self.satisfied_v,
-            "satisfied_i": self.satisfied_i,
-            "caveats": list(self.caveats),
-        }
+        return asdict(self)
 
     def table(self):
         """Human-readable two-column summary."""
@@ -103,8 +84,9 @@ def evaluate_counts(f: RationalMap, cycles, tails, split, epsilons, deltas,
                     annotations=()):
     """Assemble a CountReport from the upstream reports.
 
-    epsilons: region id -> {0,1} (from epsilon_marks); deltas: cycle id ->
-    {0,1} (from delta_marks).  Unresolved indifferent cycles count toward
+    split: the tails' RamSplit, whose Ram_w holds the distinct wild critical
+    points; epsilons: region id -> {0,1} (from epsilon_marks); deltas: cycle
+    id -> {0,1} (from delta_marks).  Unresolved indifferent cycles count toward
     CR (stressing the inequality surfaces classification failures loudly),
     and a caveat records each one.
     """
@@ -137,16 +119,12 @@ def evaluate_counts(f: RationalMap, cycles, tails, split, epsilons, deltas,
     wild = [t for t in tails if t.classification == KIND_WILD]
     rep.wild_tails = len(wild)
     # distinct critical points in wild tails, no multiplicity
-    seen = []
+    rep.wild_ram_points = len(split.ram_w)
     for t in wild:
-        for pt, _ in t.members:
-            if pt not in seen:
-                seen.append(pt)
         if t.confidence == "low":
             rep.caveats.append(
                 f"tail {t.id} is Wild at low confidence (budget {t.budget_used})"
             )
-    rep.wild_ram_points = len(seen)
     for a in annotations:
         if a.kind == "LattesFlag":
             rep.caveats.append(

@@ -40,10 +40,10 @@ import numpy as np
 
 from .kernel import (
     ALGEBRAIC_TOL,
-    CLUSTER_TOL,
     _cluster,
     aberth,
     collapse_multiple_roots,
+    horner,
 )
 from .parabolic import (
     ParabolicInvariants,
@@ -102,14 +102,19 @@ class Annotation:
             annulus=tuple(obj.get("annulus", ())),
         )
 
-    def matches_point(self, pt: SpherePoint):
-        if self.cycle is None:
-            return False
-        if isinstance(self.cycle, (list, tuple)):
-            return pt == SpherePoint(complex(self.cycle[0], self.cycle[1]))
+    def names(self, i, cycle):
+        """The point of cycle (index i of the sorted cycle list) that this
+        annotation names, or None: the first point when it is unanchored or
+        anchored by index i, the matching point when anchored by a point
+        ([re, im] or "inf")."""
+        if self.cycle is None or (isinstance(self.cycle, int) and self.cycle == i):
+            return cycle.points[0]
         if self.cycle == "inf":
-            return pt.is_infinity
-        return False
+            return next((pt for pt in cycle.points if pt.is_infinity), None)
+        if isinstance(self.cycle, (list, tuple)):
+            target = SpherePoint(complex(self.cycle[0], self.cycle[1]))
+            return next((pt for pt in cycle.points if pt == target), None)
+        return None
 
     def to_json(self):
         out = {"kind": self.kind}
@@ -279,9 +284,7 @@ def _preimages(num, den, v):
         w = radius[:, None] * np.exp(1j * ang)[None, :]
         diag = np.arange(d)
         for _ in range(60):
-            val = np.zeros_like(w)
-            for ck in c.T[::-1]:
-                val = val * w + ck[:, None]
+            val = horner(c.T[:, :, None], w)
             gaps = w[:, :, None] - w[:, None, :]
             gaps[:, diag, diag] = 1.0
             step = val / np.prod(gaps, axis=2)
@@ -353,7 +356,7 @@ def _fixed_points(f: RationalMap, p, pullback=None):
         raise CycleError(
             f"periodic points of f^{p} did not converge: residual {worst:.3e} times the bound"
         )
-    roots = _cluster([(complex(zi), 1) for zi in z], CLUSTER_TOL)
+    roots = _cluster([(complex(zi), 1) for zi in z])
     return (
         np.array([r for r, _ in roots], dtype=complex),
         np.array([m for _, m in roots], dtype=int),
@@ -426,7 +429,9 @@ def multiplier(f: RationalMap, orbit_pts):
 
 
 def classify(cycle: Cycle, f: RationalMap, annotations=()):
-    """Fill in cycle.cls (and parabolic invariants when applicable)."""
+    """Fill in cycle.cls (and parabolic invariants when applicable); the
+    first rotation-number annotation, of those naming the cycle, decides an
+    irrationally indifferent one."""
     lam = cycle.multiplier
     mod = abs(lam)
     if mod <= UNITY_TOL:
@@ -451,33 +456,16 @@ def classify(cycle: Cycle, f: RationalMap, annotations=()):
     # irrationally indifferent: needs arithmetic annotation
     for ann in annotations:
         if ann.kind in ("RotationNumberBrjuno", "RotationNumberLiouville"):
-            if _annotation_hits(ann, cycle):
-                cycle.cls = (
-                    CLASS_SIEGEL
-                    if ann.kind == "RotationNumberBrjuno"
-                    else CLASS_CREMER
-                )
-                return cycle
+            cycle.cls = CLASS_SIEGEL if ann.kind == "RotationNumberBrjuno" else CLASS_CREMER
+            return cycle
     cycle.cls = CLASS_UNRESOLVED
     return cycle
 
 
-def _annotation_hits(ann: Annotation, cycle: Cycle):
-    if ann.cycle is None:
-        return True  # unanchored annotation applies to any undecided cycle
-    if isinstance(ann.cycle, int):
-        return False  # index-anchored annotations are resolved by the caller
-    return any(ann.matches_point(pt) for pt in cycle.points)
-
-
 def analyze_cycles(f: RationalMap, max_period, annotations=()):
-    """find_cycles + classify, resolving index-anchored annotations by position."""
+    """find_cycles + classify, each cycle with the annotations that name it
+    (``Annotation.names``)."""
     cycles = find_cycles(f, max_period)
     for i, c in enumerate(cycles):
-        resolved = [
-            Annotation(kind=a.kind, cycle=None) if isinstance(a.cycle, int) else a
-            for a in annotations
-            if not isinstance(a.cycle, int) or a.cycle == i
-        ]
-        classify(c, f, resolved)
+        classify(c, f, [a for a in annotations if a.names(i, c) is not None])
     return cycles

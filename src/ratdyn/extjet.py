@@ -29,19 +29,16 @@ from .parabolic import _first_return
 from .ratmap import RationalMap, _as_point
 from .series import TruncatedSeries
 
-FULL_JETS = "FullJets"
-TWO_JETS = "TwoJets"
-
 
 @dataclass
 class JetSpec:
-    """Where and how to truncate: site 'global' or a cycle point with period p."""
+    """Where and how to truncate: site 'global' or a cycle point with period
+    p, with jets truncated at the given order (order 1 keeps 2-jets)."""
 
     site: str = "global"
     point: object = None
     period: int = 1
     order: int = 6
-    jet_kind: str = FULL_JETS
 
 
 def global_e1(f: RationalMap):
@@ -49,20 +46,17 @@ def global_e1(f: RationalMap):
 
     Columns are the images of 1, z, z^2; the image of v is
     v(P/Q) Q^2 - (P'Q - PQ') v, written in the monomial basis of degree
-    <= 2d polynomials.
+    <= 2d polynomials.  The Wronskian P'Q - PQ' is the map's own
+    (``RationalMap.wronskian``), and multiplying it by z^j shifts its
+    coefficients j places.
     """
     p, q = f.num, f.den
-    d = f.degree
-    wron = p.derivative() * q - p * q.derivative()
-    basis = []
-    pq_powers = [q * q, p * q, p * p]  # v = 1, z, z^2 composed with f, times Q^2
-    zpow = [np.array([1.0]), np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])]
-    for j in range(3):
-        img = pq_powers[j] - wron * _mono(j)
-        col = np.zeros(2 * d + 1, dtype=complex)
-        col[: len(img.coeffs)] = img.coeffs
-        basis.append(col)
-    mat = np.stack(basis, axis=1)
+    wron = f.wronskian["z"].coeffs
+    mat = np.zeros((2 * f.degree + 1, 3), dtype=complex)
+    # v = 1, z, z^2 composed with f, times Q^2
+    for j, pq in enumerate((q * q, p * q, p * p)):
+        mat[: len(pq.coeffs), j] += pq.coeffs
+        mat[j : j + len(wron), j] -= wron
     _, ker, coker = rank_nullity(_colnorm(mat))
     return mat, ker, coker
 
@@ -77,14 +71,6 @@ def _colnorm(mat):
     scale = np.max(np.abs(mat), axis=0)
     scale[scale == 0] = 1.0
     return mat / scale
-
-
-def _mono(j):
-    from .kernel import Polynomial
-
-    c = np.zeros(j + 1)
-    c[j] = 1.0
-    return Polynomial(c)
 
 
 def _jet_matrix(g: TruncatedSeries, N):
@@ -133,7 +119,7 @@ def jet_e1(f: RationalMap, spec: JetSpec, r=1):
     if spec.site == "global":
         _, ker, coker = global_e1(f)
         return ker, coker, True
-    N = 1 if spec.jet_kind == TWO_JETS else spec.order
+    N = spec.order
     pad = max(N, 4)
     M = N + pad
     g = _first_return(f, _as_point(spec.point), spec.period, r, M + 2)

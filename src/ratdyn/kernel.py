@@ -2,7 +2,8 @@
 
 Everything here is plain dense complex arithmetic at float64.  Tolerances are
 pinned (relative algebraic tolerance 1e-9, root-clustering radius 1e-6,
-multiple-root grouping radius 1e-3) so results are reproducible.
+multiple-root grouping radius 1e-3, trimming tolerance 1e-12) so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 
 ALGEBRAIC_TOL = 1e-9
 CLUSTER_TOL = 1e-6
+TRIM_TOL = 1e-12
 
 
 class KernelError(Exception):
@@ -138,33 +140,41 @@ class Polynomial:
     def shifted(self, z0):
         """Taylor shift: returns q with q(t) = self(z0 + t).
 
-        Computed by repeated synthetic division by (z - z0); coefficient j of
-        the result is the j-th remainder.
+        Repeated synthetic division by (z - z0) (``ruffini``): coefficient
+        j of the result is the j-th remainder.
         """
-        out = np.zeros(len(self.coeffs), dtype=complex)
-        work = self.coeffs.copy()
+        out = np.empty(len(self.coeffs), dtype=complex)
+        q = self.coeffs
         for j in range(len(out)):
-            quot = np.zeros(max(len(work) - 1, 1), dtype=complex)
-            r = work[-1]
-            for i in range(len(work) - 2, -1, -1):
-                quot[i] = r
-                r = work[i] + z0 * r
-            out[j] = r
-            if len(work) == 1:
-                break
-            work = quot
+            q = ruffini(q, z0)
+            out[j] = q[0]
+            q = q[1:]
         return Polynomial(out)
 
-    def trimmed(self, rel_tol):
-        """Drop trailing coefficients below rel_tol times the max magnitude."""
+    def deflated(self, root):
+        """The quotient of self by (z - root), remainder dropped."""
+        return Polynomial(ruffini(self.coeffs, root)[1:])
+
+    def trimmed(self):
+        """Drop trailing coefficients at most TRIM_TOL times the max magnitude."""
         if self.is_zero:
             return self
-        thr = rel_tol * self.scale()
+        thr = TRIM_TOL * self.scale()
         c = self.coeffs.copy()
         k = len(c) - 1
         while k > 0 and abs(c[k]) <= thr:
             k -= 1
         return Polynomial(c[: k + 1])
+
+
+def ruffini(c, z0):
+    """Synthetic division of the ascending coefficients c by (z - z0): the
+    remainder, followed by the ascending coefficients of the quotient."""
+    b = np.empty(len(c), dtype=complex)
+    acc = b[-1] = c[-1]
+    for i in range(len(c) - 2, -1, -1):
+        acc = b[i] = c[i] + z0 * acc
+    return b
 
 
 def horner(coeffs, z):
@@ -192,13 +202,13 @@ def _as_poly(x):
     return Polynomial([x])
 
 
-def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL):
+def poly_roots(p):
     """All roots of p with multiplicity, by Aberth-Ehrlich simultaneous iteration.
 
     Returns a list of (root, multiplicity) pairs.  Each returned root r
-    satisfies |p(r)| <= tol * scale(p) after Newton polishing; roots closer
-    than the clustering radius are merged and reported with their combined
-    multiplicity at the cluster centroid.
+    satisfies |p(r)| <= ALGEBRAIC_TOL scale(p) max(1, |r|)^deg after Newton
+    polishing; roots closer than the clustering radius (``_cluster``) are
+    merged and reported with their combined multiplicity at the centroid.
     """
     p = _as_poly(p)
     if p.is_zero:
@@ -218,7 +228,7 @@ def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL):
         return roots
     if n == 1:
         roots.append((-c[0] / c[1], 1))
-        return _cluster(roots, cluster_tol)
+        return _cluster(roots)
 
     q = Polynomial(c)
     dq = q.derivative()
@@ -242,7 +252,7 @@ def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL):
         res = np.abs(q(z))
     if not np.all(np.isfinite(res)):
         raise RootFindingError("root residual is not finite", best=z)
-    bound = tol * scale * np.maximum(1.0, np.abs(z)) ** n
+    bound = ALGEBRAIC_TOL * scale * np.maximum(1.0, np.abs(z)) ** n
     if np.any(res > bound):
         worst = float(np.max(res / np.maximum(bound, 1e-300)))
         raise RootFindingError(
@@ -251,7 +261,7 @@ def poly_roots(p, tol=ALGEBRAIC_TOL, cluster_tol=CLUSTER_TOL):
             best=z,
         )
     roots.extend((complex(zi), 1) for zi in z)
-    return _cluster(roots, cluster_tol)
+    return _cluster(roots)
 
 
 def _shifted_taylor(q, scale, x, k):
@@ -400,14 +410,14 @@ def _certified_multiple_root(pts, taylor):
     return zs if np.all(np.abs(t) <= zero[: len(t)]) else None
 
 
-def _cluster(roots, cluster_tol):
-    """Merge roots within the clustering radius; multiplicities add.
+def _cluster(roots):
+    """Merge roots within CLUSTER_TOL max(1, |centroid|); multiplicities add.
 
     Only roots with another root within four radii take part in the
     centroid-growing scan; every other root is a cluster of its own.
     """
     z = np.array([zi for zi, _ in roots], dtype=complex)
-    mergeable = sorted({i for pair in _close_pairs(z, 4 * cluster_tol) for i in pair})
+    mergeable = sorted({i for pair in _close_pairs(z, 4 * CLUSTER_TOL) for i in pair})
     out = []
     used = [False] * len(roots)
     for i, (zi, mi) in enumerate(roots):
@@ -423,7 +433,7 @@ def _cluster(roots, cluster_tol):
                 zj, mj = roots[j]
                 if used[j]:
                     continue
-                radius = cluster_tol * max(1.0, abs(cz))
+                radius = CLUSTER_TOL * max(1.0, abs(cz))
                 if abs(zj - cz) <= radius:
                     members.append((zj, mj))
                     used[j] = True
@@ -435,10 +445,10 @@ def _cluster(roots, cluster_tol):
     return out
 
 
-def rank_nullity(mat, tol=ALGEBRAIC_TOL):
-    """(rank, kernel_dim, cokernel_dim) of a dense complex matrix at tolerance.
+def rank_nullity(mat):
+    """(rank, kernel_dim, cokernel_dim) of a dense complex matrix.
 
-    Singular values below tol * ||M||_2 count as zero.  rank + kernel_dim
+    Singular values at most ALGEBRAIC_TOL ||M||_2 count as zero.  rank + kernel_dim
     equals the column count exactly.
     """
     m = np.atleast_2d(np.asarray(mat, dtype=complex))
@@ -448,16 +458,16 @@ def rank_nullity(mat, tol=ALGEBRAIC_TOL):
     if rows == 0 or cols == 0 or not np.any(m):
         return 0, cols, rows
     s = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > ALGEBRAIC_TOL * s[0]))
     return rank, cols - rank, rows - rank
 
 
-def nullspace(mat, tol=ALGEBRAIC_TOL):
-    """Orthonormal basis (columns) of the numerical kernel."""
+def nullspace(mat):
+    """Orthonormal basis (columns) of the numerical kernel (``rank_nullity``'s rank)."""
     m = np.atleast_2d(np.asarray(mat, dtype=complex))
     rows, cols = m.shape
     if rows == 0 or cols == 0 or not np.any(m):
         return np.eye(cols, dtype=complex)
     u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > ALGEBRAIC_TOL * s[0]))
     return vh[rank:].conj().T

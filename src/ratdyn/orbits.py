@@ -185,16 +185,12 @@ def regions_from_annotations(cycles, annotations):
 
 
 def _siegel_point(cycles, ann):
-    """The point of a Siegel cycle that ann names: the matching point, the
-    first point of the indexed cycle, or of the first Siegel cycle when the
-    annotation is unanchored; None when no Siegel cycle fits."""
+    """The point of the first Siegel cycle that ann names
+    (``Annotation.names``), or None when no Siegel cycle fits."""
     for i, c in enumerate(cycles):
-        if c.cls != CLASS_SIEGEL:
-            continue
-        if ann.cycle is None or (isinstance(ann.cycle, int) and ann.cycle == i):
-            return c.points[0]
-        for pt in c.points:
-            if ann.matches_point(pt):
+        if c.cls == CLASS_SIEGEL:
+            pt = ann.names(i, c)
+            if pt is not None:
                 return pt
     return None
 

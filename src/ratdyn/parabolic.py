@@ -39,13 +39,13 @@ class ParabolicError(ValueError):
     pass
 
 
-def rotation_order(lam, K=UNITY_HORIZON, tol=UNITY_TOL):
-    """Least r <= K with lam^r = 1 within tol, or None."""
+def rotation_order(lam, K=UNITY_HORIZON):
+    """Least r <= K with lam^r = 1 within UNITY_TOL, or None."""
     lam = complex(lam)
     power = 1.0 + 0j
     for r in range(1, K + 1):
         power *= lam
-        if abs(power - 1.0) <= tol:
+        if abs(power - 1.0) <= UNITY_TOL:
             return r
     return None
 

@@ -6,7 +6,7 @@ of sphere-point arithmetic.  Raw arithmetic (orbit steps, the snap grid,
 the chart-aware distance) runs in whichever affine chart keeps coordinates
 small (w = 1/z beyond radius 2); local analysis at a point z0 runs at 0 in
 u = z - z0, or u = 1/z when z0 is infinity (``local_coord``,
-``RationalMap.local_fraction``).  Both rules act on raw values (a Python
+``local_pair``).  Both rules act on raw values (a Python
 ``complex``, or ``None`` for infinity), so orbit loops run on raw values
 and a ``SpherePoint`` carries one in ``value``.  Their array forms
 (``snap_keys``, ``distances``, ``local_coords``, ``moduli``) take the
@@ -333,15 +333,15 @@ def _rev_pad(p, d):
     return Polynomial(c[::-1])
 
 
-def _deflate(p, root):
-    """Divide p by (z - root) (synthetic division, remainder dropped)."""
-    c = p.coeffs
-    out = np.zeros(len(c) - 1, dtype=complex)
-    acc = c[-1]
-    for i in range(len(c) - 2, -1, -1):
-        out[i] = acc
-        acc = c[i] + root * acc
-    return Polynomial(out)
+def local_pair(num, den, z0):
+    """(A, B): the fraction num/den pulled back to the local coordinate u
+    about the raw value z0 (``local_coord``), A(u)/B(u) = num(z)/den(z):
+    both shifted to z0, or z^d num(1/z), z^d den(1/z) with d the larger
+    degree when z0 is ∞."""
+    if z0 is None:
+        d = max(num.degree, den.degree)
+        return _rev_pad(num, d), _rev_pad(den, d)
+    return num.shifted(z0), den.shifted(z0)
 
 
 class RationalMap:
@@ -371,14 +371,15 @@ class RationalMap:
         if self.degree < 1:
             raise MapError("map is constant (degree 0) after reduction")
         # cached w-chart data: z^d num(1/z), z^d den(1/z)
-        self._rnum = _rev_pad(num, self.degree)
-        self._rden = _rev_pad(den, self.degree)
+        self._rnum, self._rden = local_pair(num, den, None)
         self._kernel = None  # the orbit kernel, built on first use
-        # Wronskian A'B - AB' of (A, B) in each chart: f' is W/B^2 there
-        self._wron = {}
-        for chart in ("z", "w"):
-            a, b = self._chart_pair(chart)
-            self._wron[chart] = a.derivative() * b - a * b.derivative()
+        # Wronskian A'B - AB' of (A, B) in each chart: f' is W/B^2 there.  An
+        # overflow makes Polynomial raise, so numpy's warning would be noise.
+        self.wronskian = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for chart in ("z", "w"):
+                a, b = self._chart_pair(chart)
+                self.wronskian[chart] = a.derivative() * b - a * b.derivative()
 
     def __repr__(self):
         return f"RationalMap(num={self.num!r}, den={self.den!r})"
@@ -394,8 +395,7 @@ class RationalMap:
         """(A, B): A(u)/B(u) is the local coordinate of f(z) about zo as a
         function of the local coordinate u of z about zi (see ``local_coord``)."""
         zi, zo = _as_point(zi), _as_point(zo)
-        a, b = ((self._rnum, self._rden) if zi.is_infinity
-                else (self.num.shifted(zi.value), self.den.shifted(zi.value)))
+        a, b = local_pair(self.num, self.den, zi.value)
         return (b, a) if zo.is_infinity else (a - zo.value * b, b)
 
     def iterate(self, z, n, out):
@@ -436,7 +436,7 @@ class RationalMap:
         z = _as_point(z)
         chart, t = chart_coords(z.value)
         a, b = self._chart_pair(chart)
-        w = self._wron[chart]
+        w = self.wronskian[chart]
         out_chart, _ = chart_coords(self.step(z.value))
         # derivative of A/B is W/B^2; of the flipped chart B/A it is -W/A^2
         if out_chart == "z":
@@ -478,7 +478,7 @@ class RationalMap:
         """Ramification divisor: critical points with multiplicity; degree 2d-2."""
         entries = []
         d = self.degree
-        w = self._wron["z"]
+        w = self.wronskian["z"]
         if w.is_zero:
             raise MapError("degenerate map: vanishing Wronskian")
         if w.degree >= 1 or w.coeffs[0] == 0:
@@ -549,8 +549,8 @@ def _reduce_fraction(num, den):
     """Remove common roots of num and den (numerically) and re-trim."""
     if num.is_zero:
         return num, Polynomial([1.0])
-    num = num.trimmed(1e-12)
-    den = den.trimmed(1e-12)
+    num = num.trimmed()
+    den = den.trimmed()
     if den.degree >= 1 and num.degree >= 1:
         scale_n = num.scale()
         for root, mult in poly_roots(den):
@@ -558,8 +558,8 @@ def _reduce_fraction(num, den):
                 if num.degree == 0:
                     break
                 if abs(num(root)) <= 1e-8 * scale_n * max(1.0, abs(root)) ** num.degree:
-                    num = _deflate(num, root)
-                    den = _deflate(den, root)
+                    num = num.deflated(root)
+                    den = den.deflated(root)
                 else:
                     break
     return num, den

@@ -57,7 +57,7 @@ import numpy as np
 from .kernel import Polynomial, horner_with_derivative
 from .parabolic import ParabolicInvariants, _model_coordinate, tangency_and_residu
 from .parser import ExprParser
-from .ratmap import RationalMap, _as_point, _rev_pad
+from .ratmap import RationalMap, _as_point, local_pair
 
 QUAD_BUDGET = 1_000_000
 _TOL = 1e-10  # agreement of a region's value under node doubling
@@ -136,13 +136,13 @@ def _gauss(n):
 
 def _local_density(mu, z0):
     """mu in the local coordinate u about z0, pulled back exactly: W(z0 + u),
-    or W(1/u) u^(-2m) at infinity (its modulus carries |dz/du|^2 = |u|^-4)."""
+    or W(1/u) u^(-2m) at infinity (its modulus carries |dz/du|^2 = |u|^-4);
+    W itself pulls back by ``ratmap.local_pair``."""
     z0 = _as_point(z0)
-    if not z0.is_infinity:
-        return FormDensity(mu.w_num.shifted(z0.value), mu.w_den.shifted(z0.value), mu.m)
-    d = max(mu.w_num.degree, mu.w_den.degree)
-    u_2m = Polynomial([0] * 2 * mu.m + [1])
-    return FormDensity(_rev_pad(mu.w_num, d), _rev_pad(mu.w_den, d) * u_2m, mu.m)
+    num, den = local_pair(mu.w_num, mu.w_den, z0.value)
+    if z0.is_infinity:
+        den = den * Polynomial([0] * 2 * mu.m + [1])
+    return FormDensity(num, den, mu.m)
 
 
 def _boundary_residue(f, mu, u, du, w):

@@ -1,6 +1,10 @@
 """The command-line front end: flags, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,20 @@ class TestParse:
     def test_missing_map_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "parse")
         assert code == 2
+
+    def test_overflowing_map_writes_one_error_object(self, tmp_path):
+        # the Wronskian of 1e308 z^2 overflows; stderr carries the error object only
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"num": [[0, 0], [0, 0], [1e308, 0]], "den": [[1, 0]]}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "ratdyn.cli", "parse", "--map-file", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.count("\n") == 1
+        assert json.loads(out.stderr) == {
+            "error": "ValueError", "message": "non-finite polynomial coefficient"}
 
 
 class TestPipelines:
@@ -105,6 +123,16 @@ class TestPipelines:
         assert lines[0] == "iterate,re,im,chart"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("flag,value", [("--orbit-csv", "orbit.csv"), ("--orbit-from", "0")])
+    def test_orbit_csv_and_orbit_from_go_together(self, capsys, tmp_path, flag, value):
+        code, out, err = run_cli(
+            capsys, "tails", "--map", "z^2 + 1/4", "--max-period", "1",
+            "--budget", "2000", flag, str(tmp_path / value) if flag == "--orbit-csv" else value,
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+        assert list(tmp_path.iterdir()) == []
+
     def test_count_json_and_exit(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--map", "z + z^2", "--max-period", "2",
@@ -150,6 +178,7 @@ class TestPipelines:
     @pytest.mark.parametrize("argv", [
         ("--seed", "1", "parse", "--map", "z^2"),
         ("residue", "--map", "2*z", "--form", "1/z", "--qmc"),
+        ("ext", "--map", "z + z^2", "--point", "0", "--two-jets"),
     ])
     def test_removed_options_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

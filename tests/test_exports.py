@@ -24,21 +24,39 @@ def test_all_matches_readme():
     assert set(ratdyn.__all__) - {"__version__"} == readme_entry_points()
 
 
+def _modules_matching(pattern):
+    """Stems of the package's modules whose source matches the regex pattern."""
+    src = Path(ratdyn.__file__).parent
+    return {p.stem for p in src.glob("*.py") if re.search(pattern, p.read_text())}
+
+
 def test_chart_rule_stays_in_raw_arithmetic():
     # local analysis expands in ratmap.local_coord; the radius-2 chart rule
     # serves only the raw arithmetic of ratmap and the outputs of orbits
-    src = Path(ratdyn.__file__).parent
-    users = {p.stem for p in src.glob("*.py") if "chart_coords" in p.read_text()}
-    assert users <= {"ratmap", "orbits"}
+    assert _modules_matching("chart_coords") <= {"ratmap", "orbits"}
 
 
 def test_sphere_distance_lives_in_ratmap():
     # one home for sphere-point arithmetic: no other module defines a chart
     # distance or the exact reciprocal that the array rules share
-    src = Path(ratdyn.__file__).parent
-    rule = re.compile(r"def \w*distance|_reciprocal")
-    owners = {p.stem for p in src.glob("*.py") if rule.search(p.read_text())}
-    assert owners <= {"ratmap"}
+    assert _modules_matching(r"def \w*distance|_reciprocal") <= {"ratmap"}
+
+
+def test_synthetic_division_lives_in_kernel():
+    # kernel.ruffini is the one pass of synthetic division (shifted and
+    # deflated run it); no other module runs the recurrence acc = c[i] + z0 acc
+    recurrence = r"(\w+) = (\w+\[\w+\] = )?\w+\[\w+\] \+ \w+ \* \1\b"
+    assert _modules_matching(recurrence) == {"kernel"}
+
+
+def test_wronskian_lives_in_ratmap():
+    # RationalMap.wronskian is built once per map; extjet reads it
+    assert _modules_matching(r"derivative\(\) \* \w+ - \w+ \* \w+\.derivative\(\)") == {"ratmap"}
+
+
+def test_annotation_anchoring_lives_in_cycles():
+    # Annotation.names decides which cycle an annotation names
+    assert _modules_matching(r"isinstance\([\w.]*cycle, int\)") == {"cycles"}
 
 
 def _owners(test):

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ratdyn.extjet import (
-    FULL_JETS,
-    TWO_JETS,
-    JetSpec,
-    global_e1,
-    jet_e1,
-    jet_e1_series,
-)
+from ratdyn.extjet import JetSpec, global_e1, jet_e1, jet_e1_series
 from ratdyn.ratmap import MapError, RationalMap, parse_map
 from ratdyn.series import TruncatedSeries
 
@@ -77,7 +70,7 @@ class TestParabolicJets:
 
     def test_two_jets_truncation(self):
         f = parse_map("z + z^2")
-        spec = JetSpec(site="cycle", point=0.0, period=1, jet_kind=TWO_JETS)
+        spec = JetSpec(site="cycle", point=0.0, period=1, order=1)
         ker, coker, _ = jet_e1(f, spec)
         assert coker <= 2  # order-1 jets cannot see past the tangency
 

@@ -17,6 +17,7 @@ from ratdyn.kernel import (
     nullspace,
     poly_roots,
     rank_nullity,
+    ruffini,
 )
 
 from conftest import finite_complex
@@ -49,6 +50,31 @@ class TestPolynomial:
         q = p.shifted(0.7 + 0.3j)
         for t in (0.1, -0.5 + 0.2j, 1.3j):
             assert abs(q(t) - p(0.7 + 0.3j + t)) < 1e-12
+
+    def test_ruffini_gives_remainder_then_quotient(self):
+        # (z - 2)(z^2 + 1) + 5 = z^3 - 2z^2 + z + 3
+        assert ruffini([3, 1, -2, 1], 2).tolist() == [5, 1, 0, 1]
+        assert ruffini([4], 2).tolist() == [4]
+
+    def test_deflated_drops_a_root(self):
+        p = Polynomial([-6, 1, 1])  # (z - 2)(z + 3)
+        assert p.deflated(2).coeffs.tolist() == [3, 1]
+
+    def test_shifted_is_repeated_division(self):
+        # coefficient j of the shift is the remainder of the j-th division
+        p = Polynomial([0.5 - 1j, 2, -3j, 1, 0.25])
+        z0 = 0.7 - 0.4j
+        q, want = p.coeffs, []
+        while len(q):
+            b = ruffini(q, z0)
+            want.append(b[0])
+            q = b[1:]
+        assert p.shifted(z0).coeffs.tolist() == want
+
+    def test_trimmed_drops_tiny_trailing_coefficients(self):
+        p = Polynomial([1, 1e-13, 2, 1e-12, 2e-13])
+        assert p.trimmed().coeffs.tolist() == [1, 1e-13, 2]
+        assert Polynomial([0]).trimmed().is_zero
 
     def test_compose(self):
         p = Polynomial([0, 0, 1])  # z^2

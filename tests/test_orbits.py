@@ -5,7 +5,7 @@ import pytest
 
 from ratdyn import orbits
 from ratdyn.corpus import load_corpus
-from ratdyn.cycles import Annotation, analyze_cycles, load_annotations
+from ratdyn.cycles import CLASS_SIEGEL, Annotation, analyze_cycles, load_annotations
 from ratdyn.orbits import (
     DWELL_RUN,
     GEOMETRIC_FINAL,
@@ -209,6 +209,27 @@ class TestAnnotatedRegions:
         assert [r.id for r in regions] == ["SD0", "SD1"]
         assert regions[0].center == SpherePoint(0.0)
         assert regions[1].center == SpherePoint(1.0)
+
+    @pytest.mark.parametrize("anchor, siegel", [
+        (None, [0.0, 1.0]),  # unanchored: every undecided cycle, disc at the first
+        ("index", [1.0]),
+        ([1.0, 0.0], [1.0]),
+        (7, []),  # an index past the cycle list names none
+    ])
+    def test_each_anchoring_names_one_cycle_for_class_and_disc(self, anchor, siegel):
+        # analyze_cycles and regions_from_annotations agree on the named cycle
+        lam = LAM_G
+        mu = np.exp(2j * np.pi * (np.sqrt(2) - 1))
+        f = parse_map("l*z + a*z^2 + b*z^3",
+                      {"l": lam, "a": 3 - 2 * lam - mu, "b": mu + lam - 2})
+        if anchor == "index":
+            anchor = next(i for i, c in enumerate(analyze_cycles(f, 1)) if c.contains(1.0))
+        ann = Annotation(kind="RotationNumberBrjuno", cycle=anchor, annulus=(0.1,))
+        cycles = analyze_cycles(f, 1, [ann])
+        assert [c.points for c in cycles if c.cls == CLASS_SIEGEL] == [
+            [SpherePoint(v)] for v in siegel]
+        regions = regions_from_annotations(cycles, [ann])
+        assert [r.center for r in regions] == [SpherePoint(v) for v in siegel[:1]]
 
     def test_siegel_disc_at_infinity_is_measured_in_one_over_z(self):
         # in w = 1/z the map is w -> l w + w^2: a golden Siegel point at ∞

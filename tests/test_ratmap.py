@@ -25,6 +25,7 @@ from ratdyn.ratmap import (
     distances,
     local_coord,
     local_coords,
+    local_pair,
     moduli,
     parse_map,
     raw_array,
@@ -107,6 +108,23 @@ class TestSpherePoint:
             z = zi + u if zi is not None else 1.0 / u
             want = local_coord(f.step(z), zo)
             assert abs(a(u) / b(u) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+    @pytest.mark.parametrize("z0", [0.4 - 0.2j, None])
+    def test_local_pair_pulls_back_a_fraction(self, z0):
+        num, den = Polynomial([1, 0, 2j]), Polynomial([0.5, 1])
+        a, b = local_pair(num, den, z0)
+        for u in (0.05, -0.02 + 0.03j):
+            z = z0 + u if z0 is not None else 1.0 / u
+            want = num(z) / den(z)
+            assert abs(a(u) / b(u) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_overflowing_wronskian_raises_without_warnings(self):
+        # 2 * 1e308 overflows in the derivative; the check in Polynomial raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                RationalMap([0, 0, 1e308], [1])
 
 
 class TestParseAndEvaluate:

@@ -7,9 +7,10 @@ iteration on Phi(z) = Z_p(z, 1) - z W_p(z, 1), and Phi is evaluated through
 the map's own iteration, never through the coefficients of the degree-d^p
 polynomial (as in MPSolve: Bini-Robol, J. Comput. Appl. Math. 272, 2014).
 The homogenized numerator and denominator of f act p times on a truncated
-Taylor jet of (z : 1), and the pair is divided by max(|Z|, |W|) at every
-step.  That factor is common to every Taylor coefficient at a point, so
-Phi/Phi' and the Aberth corrections stay exact and nothing overflows.  The
+Taylor jet of (z : 1) (``RationalMap.iterate_jets``, which ``parabolic``
+steps too), and the pair is divided by max(|Z|, |W|) at every step.  That
+factor is common to every Taylor coefficient at a point, so Phi/Phi' and
+the Aberth corrections stay exact and nothing overflows.  The
 number of finite zeros is exactly d^p + 1 - m, where m is the order of Phi
 at infinity, read off the same iteration on a series in w = 1/z.  Aberth
 starts from the d^p preimages of one generic point under f^p, most of
@@ -56,6 +57,7 @@ from .ratmap import (
     SpherePoint,
     SNAP_TOL,
     _as_point,
+    _jet_mul,
     distance,
     distances,
     raw_array,
@@ -84,7 +86,8 @@ class Annotation:
     """Arithmetic or geometric side information that numerics cannot decide.
 
     kind: RotationNumberBrjuno | RotationNumberLiouville | HermanRing | LattesFlag
-    cycle: index or point locating the annotated cycle (rotation kinds)
+    cycle: anchor of the annotated cycle (rotation kinds): None, an int
+        index (not a bool), a point [re, im] or "inf"; from_json rejects others
     period, annulus: Herman-ring data (invariant annulus [r_in, r_out])
     """
 
@@ -95,9 +98,15 @@ class Annotation:
 
     @classmethod
     def from_json(cls, obj):
+        anchor = obj.get("cycle")
+        pair = isinstance(anchor, (list, tuple)) and len(anchor) == 2
+        if not (anchor in (None, "inf") or type(anchor) is int
+                or pair and {type(x) for x in anchor} <= {int, float}):
+            raise CycleError(f"annotation anchor {anchor!r} is not null, an index, "
+                             '[re, im] or "inf"')
         return cls(
             kind=obj["kind"],
-            cycle=obj.get("cycle"),
+            cycle=anchor,
             period=int(obj.get("period", 0)),
             annulus=tuple(obj.get("annulus", ())),
         )
@@ -179,50 +188,11 @@ _ORDER_TOL = 1e-12
 _PULLBACK_TARGET = 0.3 + 0.2j  # a generic point whose preimages seed Aberth
 
 
-def _jet_mul(a, b):
-    """Product of truncated Taylor jets (orders along axis 0)."""
-    out = a[0] * b
-    for i in range(1, len(a)):
-        out[i:] += a[i] * b[:-i]
-    return out
-
-
-def _padded_coeffs(f: RationalMap):
-    """Ascending coefficients of num and den, both padded to the degree of f."""
-    num = np.zeros(f.degree + 1, dtype=complex)
-    den = np.zeros(f.degree + 1, dtype=complex)
-    num[: len(f.num.coeffs)] = f.num.coeffs
-    den[: len(f.den.coeffs)] = f.den.coeffs
-    return num, den
-
-
-def _homogeneous_pair(num, den, x, y):
-    """(N(x, y), D(x, y)) of the homogenized num/den on jets x, y.
-
-    One Horner pass for both, sharing the powers of y.
-    """
-    acc = [num[-1], den[-1]]
-    ypow = None
-    for k in range(len(num) - 2, -1, -1):
-        ypow = y if ypow is None else _jet_mul(ypow, y)
-        for i, c in enumerate((num[k], den[k])):
-            a = acc[i]
-            if isinstance(a, np.ndarray):
-                a = _jet_mul(a, x)
-            elif a != 0:
-                a = a * x
-            if c != 0:
-                term = ypow if c == 1 else c * ypow
-                a = term if isinstance(a, complex) else a + term
-            acc[i] = a
-    return [a if isinstance(a, np.ndarray) else np.full(x.shape, a, dtype=complex) for a in acc]
-
-
 class _FixedPointForm:
     """Phi = Y Z_p - X W_p for f^p, on Taylor jets, through the homogeneous iteration."""
 
     def __init__(self, f: RationalMap, p):
-        self.num, self.den = _padded_coeffs(f)
+        self.f = f
         self.p = p
         self.degree = f.degree**p + 1
 
@@ -241,10 +211,7 @@ class _FixedPointForm:
         one = np.zeros((k, t.size), dtype=complex)
         one[0] = 1.0
         x, y = (var, one) if chart == "z" else (one, var)
-        for _ in range(self.p):
-            x, y = _homogeneous_pair(self.num, self.den, x, y)
-            s = np.maximum(np.abs(x[0]), np.abs(y[0]))
-            x, y = x / s, y / s  # not in place: the pair may alias the input jets
+        x, y = self.f.iterate_jets(x, y, self.p)
         if chart == "z":
             return x, _jet_mul(var, y)
         return _jet_mul(var, x), y
@@ -299,7 +266,7 @@ class _Pullback:
     """Preimages of one generic point under f, f^2, ... (each level computed once)."""
 
     def __init__(self, f: RationalMap):
-        self.num, self.den = _padded_coeffs(f)
+        self.num, self.den = f.padded
         self.levels = [np.array([_PULLBACK_TARGET], dtype=complex)]
 
     def level(self, p):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import rank_nullity, nullspace
-from .parabolic import _first_return
-from .ratmap import RationalMap, _as_point
+from .parabolic import local_return_series
+from .ratmap import RationalMap
 from .series import TruncatedSeries
 
 
@@ -122,7 +122,7 @@ def jet_e1(f: RationalMap, spec: JetSpec, r=1):
     N = spec.order
     pad = max(N, 4)
     M = N + pad
-    g = _first_return(f, _as_point(spec.point), spec.period, r, M + 2)
+    g = local_return_series(f, spec.point, spec.period * r, M + 2)
     ker, coker = jet_e1_series(g, N, pad)
     if N >= 2:
         ker_prev, coker_prev = jet_e1_series(g, N - 1, pad + 1)

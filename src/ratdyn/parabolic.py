@@ -6,6 +6,11 @@ the local coordinate z - z0 (1/z when z0 is infinity), here called z:
 
     g(z) = z + a z^{m+1} + ...   (a != 0, m = number of petals of g)
 
+The series of g comes from ``RationalMap.iterate_jets`` (as the cycle
+solver's), pr steps at once, so the cycle may pass through infinity.  The
+petal count m is read as cycles reads Phi: each coefficient against the
+largest up to its order, so a series that grows keeps its tangency.
+
 The module computes m, the attracting/repelling directions, and the
 iterative residue nu — the unique constant for which the formal
 differential (1 + nu x^m) / x^{m+1} dx admits an invariant realization
@@ -91,57 +96,39 @@ class ParabolicInvariants:
         }
 
 
-def local_return_series(f: RationalMap, z0, p, N):
-    """Taylor series of f^p at the period-p point z0, in the local coordinate u.
-
-    Built by composing one local step series per cycle point, each in
-    the local coordinate about its point (u = z - z0, or 1/z at infinity),
-    so the cycle may pass through infinity.  The constant term (which must vanish for
-    a periodic point) is checked small and set to exactly zero.
-    """
+def local_return_series(f: RationalMap, z0, n, N):
+    """Taylor series of f^n at its fixed point z0 to order N, in the local
+    coordinate u: x/y - z0 of the n-th iterate (x : y) of the jets of
+    (z0 + u : 1), or y/x of those of (1 : u) at infinity.  The constant
+    term is checked small and set to exactly zero."""
     z0 = _as_point(z0)
-    pts = f.orbit(z0, p - 1) if p > 1 else [z0]
-    pts.append(z0)  # periodicity: last step returns to the start
-    comp = TruncatedSeries.identity(N)
-    for i in range(p):
-        step = _step_series(f, pts[i], pts[i + 1], N)
-        comp = step.compose(comp)
-    return comp
-
-
-def _step_series(f, zi, zo, N):
-    """Series of the local coordinate of f(z) about zo in the local coordinate about zi."""
-    num, den = f.local_fraction(zi, zo)
-    if den.coeffs[0] == 0:
-        raise ParabolicError(f"chart degeneracy expanding about {zi!r}")
-    out = TruncatedSeries(num.coeffs, order=N) * TruncatedSeries(den.coeffs, order=N).inverse()
+    one, var = np.eye(2, N + 1, dtype=complex)  # the jets of 1 and u
+    if z0.is_infinity:
+        y, x = f.iterate_jets(one, var, n)
+    else:
+        var[0] = z0.value
+        x, y = f.iterate_jets(var, one, n)
+    if y[0] == 0:
+        raise ParabolicError(f"f^{n} moves {z0!r} to the other chart")
+    out = TruncatedSeries(x) * TruncatedSeries(y).inverse()
+    out.c[0] -= 0 if z0.is_infinity else z0.value
     scale = max(np.max(np.abs(out.c)), 1e-30)
     if abs(out.c[0]) > 1e-6 * scale:
-        raise ParabolicError(
-            f"orbit step {zi!r} -> {zo!r} not closed (residual {abs(out.c[0]):.2e})"
-        )
+        raise ParabolicError(f"f^{n} does not fix {z0!r} (residual {abs(out.c[0]):.2e})")
     out.c[0] = 0.0
     return out
-
-
-def _first_return(f, z0, p, r, N):
-    """Series of g = f^{pr} at the period-p point z0, at order N."""
-    step = local_return_series(f, z0, p, N)
-    g = step
-    for _ in range(r - 1):
-        g = step.compose(g)
-    return g
 
 
 def _tangency_order(g):
     """(m, a) with g(z) = z + a z^{m+1} + ...; error if no tangency found."""
     c = g.c.copy()
     c[1] -= 1.0
-    scale = max(np.max(np.abs(g.c)), 1.0)
     if abs(c[1]) > 1e-5:
         raise ParabolicError(f"return map not tangent to identity (g'={g.c[1]:.6g})")
+    # against the largest coefficient up to each order, not the whole series
+    scale = np.maximum.accumulate(np.maximum(np.abs(g.c), 1.0))
     for k in range(2, len(c)):
-        if abs(c[k]) > 1e-6 * scale:
+        if abs(c[k]) > 1e-6 * scale[k]:
             return k - 1, complex(c[k])
     raise ParabolicError("tangency order exceeds the truncation budget")
 
@@ -219,10 +206,10 @@ def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
     once the tangency order is known (at least 3(m+1)).
     """
     z0 = _as_point(z0)
-    g = _first_return(f, z0, p, r, 12 if N is None else N)
+    g = local_return_series(f, z0, p * r, 12 if N is None else N)
     m, a = _tangency_order(g)
     if N is None and 3 * (m + 1) > g.order:
-        g = _first_return(f, z0, p, r, 3 * (m + 1))
+        g = local_return_series(f, z0, p * r, 3 * (m + 1))
         m, a = _tangency_order(g)
     N = g.order
     w = _invariant_field(g, m, a, N)

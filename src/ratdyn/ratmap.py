@@ -25,6 +25,12 @@ function, generated for the coefficient pattern of the map's Horner tuples
 ``_orbit_kernel`` apply), that steps n iterates in one Python frame.  Maps
 with the same pattern, such as z^2 + c for each parsed c != 0, share one
 compiled kernel.  ``RationalMap.step`` is one iterate of it.
+
+Taylor expansions of the iterates f^n have one home as well:
+``RationalMap.iterate_jets`` steps a pair of Taylor jets (x : y) through
+the homogenized map, so an orbit through infinity needs no chart switch.
+``cycles``, ``parabolic``, ``extjet`` and ``compose_self_homogeneous`` read
+f^n from it.
 """
 
 from __future__ import annotations
@@ -326,11 +332,34 @@ def make(za, zb, wa, wb):
     return scope["make"]
 
 
-def _rev_pad(p, d):
-    """Coefficients of z^d * p(1/z): reverse after zero-padding to degree d."""
-    c = np.zeros(d + 1, dtype=complex)
-    c[: len(p.coeffs)] = p.coeffs
-    return Polynomial(c[::-1])
+def _jet_mul(a, b):
+    """Product of truncated Taylor jets (orders along axis 0)."""
+    out = a[0] * b
+    for i in range(1, len(a)):
+        out[i:] += a[i] * b[:-i]
+    return out
+
+
+def _homogeneous_pair(num, den, x, y):
+    """(N(x, y), D(x, y)) of the homogenized num/den on jets x, y.
+
+    One Horner pass for both, sharing the powers of y.
+    """
+    acc = [num[-1], den[-1]]
+    ypow = None
+    for k in range(len(num) - 2, -1, -1):
+        ypow = y if ypow is None else _jet_mul(ypow, y)
+        for i, c in enumerate((num[k], den[k])):
+            a = acc[i]
+            if isinstance(a, np.ndarray):
+                a = _jet_mul(a, x)
+            elif a != 0:
+                a = a * x
+            if c != 0:
+                term = ypow if c == 1 else c * ypow
+                a = term if isinstance(a, complex) else a + term
+            acc[i] = a
+    return [a if isinstance(a, np.ndarray) else np.full(x.shape, a, dtype=complex) for a in acc]
 
 
 def local_pair(num, den, z0):
@@ -340,7 +369,7 @@ def local_pair(num, den, z0):
     degree when z0 is ∞."""
     if z0 is None:
         d = max(num.degree, den.degree)
-        return _rev_pad(num, d), _rev_pad(den, d)
+        return tuple(Polynomial(np.pad(p.coeffs, (0, d - p.degree))[::-1]) for p in (num, den))
     return num.shifted(z0), den.shifted(z0)
 
 
@@ -372,6 +401,8 @@ class RationalMap:
             raise MapError("map is constant (degree 0) after reduction")
         # cached w-chart data: z^d num(1/z), z^d den(1/z)
         self._rnum, self._rden = local_pair(num, den, None)
+        # ascending num and den zero-padded to the degree: the homogenized pair
+        self.padded = tuple(np.pad(p.coeffs, (0, self.degree - p.degree)) for p in (num, den))
         self._kernel = None  # the orbit kernel, built on first use
         # Wronskian A'B - AB' of (A, B) in each chart: f' is W/B^2 there.  An
         # overflow makes Polynomial raise, so numpy's warning would be noise.
@@ -447,32 +478,25 @@ class RationalMap:
             raise MapError(f"degenerate derivative at {z!r}")
         return complex(val)
 
-    def orbit(self, z0, n):
-        """[z0, f(z0), ..., f^n(z0)]."""
-        pts = [_as_point(z0)]
+    def iterate_jets(self, x, y, n):
+        """The n-th homogeneous iterate of the Taylor jets (x : y) (orders
+        on axis 0, never written to), divided by max(|x_0|, |y_0|) after
+        every step: a factor common to the coefficients of a point, so
+        ratios keep their values and nothing overflows."""
+        num, den = self.padded
         for _ in range(n):
-            pts.append(self.evaluate(pts[-1]))
-        return pts
+            x, y = _homogeneous_pair(num, den, x, y)
+            s = np.maximum(np.abs(x[0]), np.abs(y[0]))
+            x, y = x / s, y / s  # not in place: the pair may alias the input jets
+        return x, y
 
     # -- structure -------------------------------------------------------
     def compose_self_homogeneous(self, p):
-        """Homogeneous coefficients (A, B) of f^p: f^p(z) = A(z)/B(z), unreduced.
-
-        Built by Horner-style substitution of (num, den) into itself, which
-        keeps everything polynomial (no root finding).
-        """
-        a, b = self.num, self.den
-        for _ in range(p - 1):
-            a2 = _substitute_fraction(self.num, a, b)
-            b2 = _substitute_fraction(self.den, a, b)
-            # common degree padding: both must be multiplied by b^(d - deg)
-            d = self.degree
-            if self.num.degree < d:
-                a2 = a2 * (b ** (d - self.num.degree))
-            if self.den.degree < d:
-                b2 = b2 * (b ** (d - self.den.degree))
-            a, b = a2, b2
-        return a, b
+        """Homogeneous coefficients (A, B) of f^p, unreduced and up to a
+        common factor: f^p(z) = A(z)/B(z).  They are the order-d^p jets at 0
+        of the homogeneous iterate of (z : 1) (``iterate_jets``), exact."""
+        one, z = np.eye(2, self.degree**p + 1, dtype=complex)  # the jets of 1 and z
+        return tuple(map(Polynomial, self.iterate_jets(z, one, p)))
 
     def critical_divisor(self):
         """Ramification divisor: critical points with multiplicity; degree 2d-2."""
@@ -531,18 +555,6 @@ def _as_point(z):
     if isinstance(z, SpherePoint):
         return z
     return SpherePoint(z)
-
-
-def _substitute_fraction(p, a, b):
-    """p(a/b) * b^deg(p): Horner with denominator clearing at each step."""
-    out = Polynomial([0])
-    deg = p.degree
-    bpow = Polynomial([1.0])
-    for k in range(deg, -1, -1):
-        out = out * a + Polynomial([p.coeffs[k]]) * bpow
-        if k > 0:
-            bpow = bpow * b
-    return out
 
 
 def _reduce_fraction(num, den):

@@ -156,6 +156,16 @@ class TestPipelines:
         _, corpus_out, _ = run_cli(capsys, "corpus-run", "--only", entry["name"])
         assert json.loads(out) == json.loads(corpus_out)["entries"][0]["report"]["counts"]
 
+    @pytest.mark.parametrize("anchor", [0.0, "0", True, False, {"x": 1}])
+    def test_bad_annotation_anchor_exits_2(self, capsys, tmp_path, anchor):
+        annot = tmp_path / "annot.json"
+        annot.write_text(json.dumps({"annotations": [{"kind": "RotationNumberBrjuno",
+                                                      "cycle": anchor}]}))
+        code, out, err = run_cli(capsys, "cycles", "--map", "z^2 - 1", "--annot", str(annot))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "CycleError"
+
     def test_count_rejects_degree_one(self, capsys):
         code, out, err = run_cli(capsys, "count", "--map", "z/(1+z)")
         assert code == 2 and out == ""

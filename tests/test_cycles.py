@@ -18,6 +18,7 @@ from ratdyn.cycles import (
     CycleError,
     analyze_cycles,
     find_cycles,
+    load_annotations,
     periodic_points,
 )
 from ratdyn.kernel import Polynomial
@@ -30,7 +31,6 @@ from ratdyn.ratmap import (
     distances,
     parse_map,
     raw_array,
-    _substitute_fraction,
 )
 
 from conftest import finite_complex
@@ -52,8 +52,9 @@ def mobius_conjugate(f, a, b, c, d):
     """h o f o h^{-1} for h = (az+b)/(cz+d)."""
     hin, hid = Polynomial([-b, d]), Polynomial([a, -c])  # h^{-1}
     deg = f.degree
-    n1 = _substitute_fraction(f.num, hin, hid) * hid ** (deg - f.num.degree)
-    d1 = _substitute_fraction(f.den, hin, hid) * hid ** (deg - f.den.degree)
+    # p(hin/hid) hid^deg, term by term
+    n1, d1 = (sum(hin**k * hid ** (deg - k) * ck for k, ck in enumerate(p.coeffs))
+              for p in (f.num, f.den))
     return RationalMap(a * n1 + b * d1, c * n1 + d * d1)
 
 
@@ -114,6 +115,19 @@ class TestClassification:
         ann = Annotation(kind="RotationNumberLiouville", cycle=None)
         cycles = analyze_cycles(parse_map("z^2 + c", {"c": C_G}), 1, [ann])
         assert cycle_at(cycles, LAM_G / 2).cls == CLASS_CREMER
+
+    @pytest.mark.parametrize("anchor", [None, 0, [0.5, -1], "inf"])
+    def test_annotation_anchors_accepted(self, anchor):
+        [ann] = load_annotations({"annotations": [{"kind": "RotationNumberBrjuno",
+                                                   "cycle": anchor}]})
+        assert ann.cycle == anchor
+
+    @pytest.mark.parametrize("anchor", [0.0, "0", True, False, {"x": 1}, [1], [True, 0]])
+    def test_annotation_anchors_rejected(self, anchor):
+        # a float, string, boolean or object would silently name no cycle, or
+        # (a boolean, as an int) the wrong one
+        with pytest.raises(CycleError, match="annotation anchor"):
+            load_annotations({"annotations": [{"kind": "RotationNumberBrjuno", "cycle": anchor}]})
 
     def test_index_anchored_annotation(self):
         cycles = analyze_cycles(parse_map("z^2 + c", {"c": C_G}), 1)

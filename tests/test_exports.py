@@ -91,3 +91,37 @@ def test_one_orbit_kernel():
 
     assert _owners(reads_horner) <= {("ratmap", "_orbit_kernel")}
     assert {module for module, _ in _owners(compiles)} <= {"ratmap"}
+
+
+def test_jet_iteration_lives_in_ratmap():
+    # RationalMap.iterate_jets is the one expansion of f^n (cycles,
+    # parabolic, extjet and compose_self_homogeneous all step it); only the
+    # residue quadrature pulls f back chart by chart
+    def defines_jet_step(node):
+        return isinstance(node, ast.FunctionDef) and node.name in ("_jet_mul", "_homogeneous_pair")
+
+    def calls_local_fraction(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "local_fraction"
+
+    assert {module for module, _ in _owners(defines_jet_step)} == {"ratmap"}
+    assert {module for module, _ in _owners(calls_local_fraction)} == {"residue"}
+
+
+def test_no_unused_imports():
+    # a name a module imports must be read in it (a name listed in
+    # __all__ counts as read): the linter this package has
+    unused = []
+    for path in Path(ratdyn.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.stem == "__init__":
+            read |= set(ratdyn.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []

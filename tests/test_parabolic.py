@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ratdyn.cycles import CLASS_PARABOLIC_REP, analyze_cycles
 from ratdyn.kernel import Polynomial
 from ratdyn.parabolic import (
     ParabolicError,
@@ -44,6 +45,10 @@ class TestLocalReturnSeries:
         g = local_return_series(parse_map("1/z"), 0.0, 2, 5)
         assert np.allclose(g.c[:2], [0, 1], atol=1e-12)
 
+    def test_point_not_fixed_raises(self):
+        with pytest.raises(ParabolicError, match="does not fix"):
+            local_return_series(parse_map("z^2 - 1"), 0.0, 1, 5)
+
 
 class TestFrozenResidues:
     """Iterative residues of reference maps, frozen from the closed forms
@@ -77,6 +82,50 @@ class TestFrozenResidues:
         for expr, z0, p, r, e_loc, nu in self.CASES:
             inv = tangency_and_residu(parse_map(expr), z0, p, r)
             assert abs(inv.nu - ((inv.e_loc + 1) / 2 - inv.index)) < 1e-8
+
+
+def bulb_root(k, q):
+    """z^2 + c at the root of its k/q bulb, and its parabolic fixed point."""
+    lam = np.exp(2j * np.pi * k / q)
+    return parse_map("z^2 + c", {"c": lam / 2 - lam**2 / 4}), lam / 2
+
+
+class TestGrowingReturnSeries:
+    """The coefficients of f^q at a bulb root grow with q; the tangency
+    coefficient must not read as zero beside the larger ones after it."""
+
+    @pytest.mark.parametrize("k,q", [(k, q) for q in range(2, 12) for k in range(1, q)
+                                     if np.gcd(k, q) == 1])
+    def test_bulb_root_petal_count(self, k, q):
+        # the fixed point of multiplier e^{2 pi i k/q} has q petals under f^q
+        f, z0 = bulb_root(k, q)
+        assert tangency_and_residu(f, z0, 1, q).e_loc == q
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nu_matches_contour_integral(self, k):
+        # index = (1/2 pi i) of the contour integral of dz/(z - f^7(z)) around
+        # the fixed point, by the trapezoid rule on plain z^2 + c
+        f, z0 = bulb_root(k, 7)
+        c = f.num.coeffs[0]
+        z = z0 + 0.1 * np.exp(2j * np.pi * np.arange(1024) / 1024)
+        w = z
+        for _ in range(7):
+            w = w * w + c
+        index = np.mean((z - z0) / (z - w))
+        inv = tangency_and_residu(f, z0, 1, 7)
+        assert abs(inv.nu - (4 - index)) < 1e-6
+
+    def test_parabolic_cycle_through_infinity(self):
+        # z^2 - 5/4 conjugated by 1/(z - a), which sends the point a of its
+        # parabolic 2-cycle to infinity
+        a = (np.sqrt(2) - 1) / 2
+        cycles = analyze_cycles(parse_map("1/((a + 1/z)^2 - 5/4 - a)", {"a": a}), 2)
+        [two] = [c for c in cycles if c.period == 2]
+        assert two.contains(-1 / np.sqrt(2)) and two.contains(None)
+        assert two.cls == CLASS_PARABOLIC_REP
+        nu = tangency_and_residu(parse_map("z^2 - 5/4"), a, 2, 2).nu
+        assert abs(nu - 1.31) < 1e-9
+        assert abs(two.parabolic.nu - nu) < 1e-9
 
 
 class TestResidueProperties:

@@ -402,6 +402,25 @@ class TestOverflowingModulus:
                 distances(zs, b)
 
 
+class TestHomogeneousIterate:
+    @pytest.mark.parametrize("z", [0j, 0.3, -1.2 + 0.7j, 2.5j, 4.0 - 3.0j])
+    def test_compose_self_homogeneous_is_f_cubed(self, z):
+        # A/B is f^3 up to a common factor of A and B
+        f = parse_map("(2*z + 1)/(z^2 + 3)")
+        a, b = f.compose_self_homogeneous(3)
+        assert max(a.degree, b.degree) <= 8
+        out = []
+        f.iterate(z, 3, out)
+        assert abs(a(z) / b(z) - out[-1]) <= 1e-12 * max(1.0, abs(out[-1]))
+
+    def test_iterate_jets_through_infinity(self):
+        # 1/(z - 1) sends 1 to infinity and infinity to 0: (1 + h : 1) -> (1 : h)
+        f = parse_map("1/(z - 1)")
+        x, y = f.iterate_jets(np.array([1, 1, 0], dtype=complex),
+                              np.array([1, 0, 0], dtype=complex), 1)
+        assert x.tolist() == [1, 0, 0] and y.tolist() == [0, 1, 0]
+
+
 class TestCriticalDivisor:
     def test_quadratic(self):
         ram = parse_map("z^2 - 1").critical_divisor()

@@ -7,8 +7,8 @@ iteration on Phi(z) = Z_p(z, 1) - z W_p(z, 1), and Phi is evaluated through
 the map's own iteration, never through the coefficients of the degree-d^p
 polynomial (as in MPSolve: Bini-Robol, J. Comput. Appl. Math. 272, 2014).
 The homogenized numerator and denominator of f act p times on a truncated
-Taylor jet of (z : 1) (``RationalMap.iterate_jets``, which ``parabolic``
-steps too), and the pair is divided by max(|Z|, |W|) at every step.  That
+Taylor jet of (z : 1) (``RationalMap.local_jets``, which ``parabolic``
+reads too), and the pair is divided by max(|Z|, |W|) at every step.  That
 factor is common to every Taylor coefficient at a point, so Phi/Phi' and
 the Aberth corrections stay exact and nothing overflows.  The
 number of finite zeros is exactly d^p + 1 - m, where m is the order of Phi
@@ -25,7 +25,11 @@ matching f of each point to the nearest unused zero of the same level.
 Both matchings measure ``ratmap``'s chart-aware distance on the arrays of
 ``ratmap.raw_array``, one per level, so they round as the scalar rule; an
 image that matches none, or an orbit that does not return to its start,
-raises ``CycleError``, so every reported cycle closes.  Classification
+raises ``CycleError``, so every reported cycle closes.  A cycle's
+multiplier is (f^p)' at its first point, in its local coordinate: the
+first-order jet of f^p from one more iteration of each level's fixed
+points, order 2 and all at once (``RationalMap.multiplier``), so no
+derivative is taken chart by chart along the orbit.  Classification
 follows the multiplier: attracting / superattracting / repelling by
 modulus, parabolic when the multiplier is a root of unity within a finite
 horizon (subclassified by the sign of Re(nu)), and irrationally indifferent
@@ -196,42 +200,36 @@ class _FixedPointForm:
         self.p = p
         self.degree = f.degree**p + 1
 
-    def terms(self, t, k, chart="z"):
-        """The two terms of Phi as Taylor jets about the chart coordinates t (orders on axis 0).
+    def terms(self, t, k):
+        """The two terms of Phi as Taylor jets about the raw value t (orders
+        on axis 0; t an array of finite values, or None for ∞).
 
-        Chart "z" puts (t + h : 1) in and Phi = Z_p - (t + h) W_p; chart "w"
-        puts (1 : t + h) in and Phi = (t + h) Z_p - W_p.  Returns (a, b) with
-        Phi = a - b, both divided by the same factor per point.
+        With (x : y) the iterate of (t + h : 1), or of (1 : h) at ∞, from
+        ``RationalMap.local_jets`` (x/y in the chart of t), Phi = x - (t + h) y,
+        or x - h y at ∞.  Returns (a, b) with Phi = a - b, both divided by
+        the same factor per point.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=complex))
-        var = np.zeros((k, t.size), dtype=complex)
-        var[0] = t
-        if k > 1:
-            var[1] = 1.0
-        one = np.zeros((k, t.size), dtype=complex)
-        one[0] = 1.0
-        x, y = (var, one) if chart == "z" else (one, var)
-        x, y = self.f.iterate_jets(x, y, self.p)
-        if chart == "z":
-            return x, _jet_mul(var, y)
-        return _jet_mul(var, x), y
+        x, y = self.f.local_jets(t, k, self.p)
+        var = np.zeros_like(y)  # the jet of t + h, or h at ∞
+        var[0], var[1:2] = 0 if t is None else t, 1.0
+        return x, _jet_mul(var, y)
 
     def jet(self, t, k):
         """Taylor coefficients of Phi(t + h), orders 0..k-1 on axis 0, up to a factor per point."""
         a, b = self.terms(t, k)
         return a - b
 
-    def taylor(self, x, k, chart="z"):
-        """t_0 .. t_k of Phi at one chart point, up to a factor, and their zero levels."""
-        a, b = self.terms(x, k + 1, chart)
-        size = np.maximum.accumulate(np.maximum(np.abs(a), np.abs(b))[:, 0])
-        return (a - b)[:, 0], _ORDER_TOL * size
+    def taylor(self, x, k):
+        """t_0 .. t_k of Phi at one raw value x, up to a factor, and their zero levels."""
+        a, b = self.terms(x, k + 1)
+        size = np.maximum.accumulate(np.maximum(np.abs(a), np.abs(b)))
+        return a - b, _ORDER_TOL * size
 
     def order_at_infinity(self):
         """Order of Phi at infinity (0 when f^p moves it), or None when Phi vanishes identically."""
         k = 2
         while True:
-            t, zero = self.taylor(0.0, k - 1, "w")
+            t, zero = self.taylor(None, k - 1)
             above = np.flatnonzero(np.abs(t) > zero)
             if above.size:
                 return int(above[0])
@@ -243,7 +241,8 @@ class _FixedPointForm:
 def _preimages(num, den, v):
     """The d solutions w of num(w) = v den(w) for every target v, by batched Durand-Kerner."""
     d = len(num) - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # non-finite preimages are replaced in ``_Pullback.seeds``
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = num[None, :] - v[:, None] * den[None, :]
         c = c / c[:, -1:]
         radius = 1.0 + np.max(np.abs(c[:, :-1]), axis=1, initial=0.0)
@@ -296,10 +295,10 @@ class _Pullback:
         return v + 1e-6 * np.maximum(1.0, np.abs(v)) * np.exp(2j * np.pi * rng.random(n))
 
 
-def _fixed_points(f: RationalMap, p, pullback=None):
+def _fixed_points(f: RationalMap, p, pullback):
     """(finite fixed points of f^p, their multiplicities, order m of infinity).
 
-    ``pullback`` is a ``_Pullback`` of f to share preimages across periods.
+    ``pullback`` is a ``_Pullback`` of f, which shares preimages across periods.
     """
     if f.degree**p + 1 > DEGREE_BUDGET:
         raise CycleError(
@@ -312,7 +311,7 @@ def _fixed_points(f: RationalMap, p, pullback=None):
     n = form.degree - m_inf
     if n == 0:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=int), m_inf
-    z, _ = aberth(lambda x: form.jet(x, 2), (pullback or _Pullback(f)).seeds(p, n))
+    z, _ = aberth(lambda x: form.jet(x, 2), pullback.seeds(p, n))
     if not np.all(np.isfinite(z)):
         raise CycleError(f"periodic-point iteration for f^{p} left the plane")
     z = collapse_multiple_roots(z, form.taylor)
@@ -331,12 +330,6 @@ def _fixed_points(f: RationalMap, p, pullback=None):
     )
 
 
-def periodic_points(f: RationalMap, p):
-    """Finite solutions of f^p(z) = z as (point, multiplicity) pairs."""
-    z, mult, _ = _fixed_points(f, p)
-    return [(SpherePoint(zi), int(m)) for zi, m in zip(z, mult)]
-
-
 def _divisors(p):
     return [q for q in range(1, p) if p % q == 0]
 
@@ -351,13 +344,17 @@ def find_cycles(f: RationalMap, max_period):
         z, _, m_inf = _fixed_points(f, p, pullback)
         values = [complex(zi) for zi in z] + ([None] if m_inf else [])
         levels[p] = values
+        # (f^p)' at each point, in its local coordinate: one jet iteration per level
+        lam = np.concatenate([f.multiplier(z, p), [f.multiplier(None, p)] if m_inf else []])
+        if not np.all(np.isfinite(lam)):
+            raise CycleError(f"a multiplier of f^{p} is not finite")
         zs = raw_array(values)
         seen = np.zeros(len(values), dtype=bool)
         for q in _divisors(p):
             for v in levels[q]:
                 seen |= distances(zs, v) <= SNAP_TOL
         exact = [v for v, old in zip(values, seen) if not old]
-        zs = zs[:, ~seen]
+        zs, lam = zs[:, ~seen], lam[~seen]
         used = np.zeros(len(exact), dtype=bool)
         for i, start in enumerate(exact):
             if used[i]:
@@ -382,17 +379,9 @@ def find_cycles(f: RationalMap, max_period):
                     f"orbit of {SpherePoint(start)!r} does not close: f^{p} moves it {gap:.3g}"
                 )
             points = [SpherePoint(v) for v in orbit]
-            cycles.append(Cycle(points=points, period=p, multiplier=multiplier(f, points)))
+            cycles.append(Cycle(points=points, period=p, multiplier=complex(lam[i])))
     cycles.sort(key=Cycle.sort_key)
     return cycles
-
-
-def multiplier(f: RationalMap, orbit_pts):
-    """Product of chart-correct derivatives along the cycle."""
-    lam = 1.0 + 0j
-    for pt in orbit_pts:
-        lam *= f.derivative_multiplier_chart(pt)
-    return complex(lam)
 
 
 def classify(cycle: Cycle, f: RationalMap, annotations=()):

@@ -51,7 +51,7 @@ def global_e1(f: RationalMap):
     coefficients j places.
     """
     p, q = f.num, f.den
-    wron = f.wronskian["z"].coeffs
+    wron = f.wronskian.coeffs
     mat = np.zeros((2 * f.degree + 1, 3), dtype=complex)
     # v = 1, z, z^2 composed with f, times Q^2
     for j, pq in enumerate((q * q, p * q, p * p)):

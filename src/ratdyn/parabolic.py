@@ -6,7 +6,7 @@ the local coordinate z - z0 (1/z when z0 is infinity), here called z:
 
     g(z) = z + a z^{m+1} + ...   (a != 0, m = number of petals of g)
 
-The series of g comes from ``RationalMap.iterate_jets`` (as the cycle
+The series of g comes from ``RationalMap.local_jets`` (as the cycle
 solver's), pr steps at once, so the cycle may pass through infinity.  The
 petal count m is read as cycles reads Phi: each coefficient against the
 largest up to its order, so a series that grows keeps its tangency.
@@ -98,16 +98,11 @@ class ParabolicInvariants:
 
 def local_return_series(f: RationalMap, z0, n, N):
     """Taylor series of f^n at its fixed point z0 to order N, in the local
-    coordinate u: x/y - z0 of the n-th iterate (x : y) of the jets of
-    (z0 + u : 1), or y/x of those of (1 : u) at infinity.  The constant
+    coordinate u: x/y - z0 of the n-th iterate (x : y) of the jets of z0
+    (``RationalMap.local_jets``), or x/y itself at infinity.  The constant
     term is checked small and set to exactly zero."""
     z0 = _as_point(z0)
-    one, var = np.eye(2, N + 1, dtype=complex)  # the jets of 1 and u
-    if z0.is_infinity:
-        y, x = f.iterate_jets(one, var, n)
-    else:
-        var[0] = z0.value
-        x, y = f.iterate_jets(var, one, n)
+    x, y = f.local_jets(z0.value, N + 1, n)
     if y[0] == 0:
         raise ParabolicError(f"f^{n} moves {z0!r} to the other chart")
     out = TruncatedSeries(x) * TruncatedSeries(y).inverse()
@@ -120,7 +115,8 @@ def local_return_series(f: RationalMap, z0, n, N):
 
 
 def _tangency_order(g):
-    """(m, a) with g(z) = z + a z^{m+1} + ...; error if no tangency found."""
+    """(m, a) with g(z) = z + a z^{m+1} + ..., or None when g - z vanishes to
+    the truncation order; error if g is not tangent to the identity."""
     c = g.c.copy()
     c[1] -= 1.0
     if abs(c[1]) > 1e-5:
@@ -130,7 +126,7 @@ def _tangency_order(g):
     for k in range(2, len(c)):
         if abs(c[k]) > 1e-6 * scale[k]:
             return k - 1, complex(c[k])
-    raise ParabolicError("tangency order exceeds the truncation budget")
+    return None
 
 
 def _invariant_field(g, m, a, N):
@@ -202,15 +198,23 @@ def _normalizing_series(w, m, N):
 def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
     """Full parabolic invariant package at a period-p point with lambda^r = 1.
 
-    N is the series truncation order; defaults to a stabilizing value
-    once the tangency order is known (at least 3(m+1)).
+    N is the series truncation order; by default the first truncation
+    doubles from 12 until the tangency shows, then grows to at least 3(m+1).
     """
     z0 = _as_point(z0)
     g = local_return_series(f, z0, p * r, 12 if N is None else N)
-    m, a = _tangency_order(g)
+    found = _tangency_order(g)
+    # g - z has at most d^{pr} + 1 zeros, so a tangency past order d^{pr} + 1
+    # would make g the identity near z0
+    while found is None and N is None and g.order < f.degree ** (p * r) + 2:
+        g = local_return_series(f, z0, p * r, 2 * g.order)
+        found = _tangency_order(g)
+    if found is None:
+        raise ParabolicError("tangency order exceeds the truncation budget")
+    m, a = found
     if N is None and 3 * (m + 1) > g.order:
         g = local_return_series(f, z0, p * r, 3 * (m + 1))
-        m, a = _tangency_order(g)
+        m, a = _tangency_order(g)  # found again, at a longer truncation
     N = g.order
     w = _invariant_field(g, m, a, N)
     nu = complex(w[m])  # w_{-1}

@@ -7,10 +7,11 @@ Grammar (precedence low to high):
     factor  := ('+' | '-') factor | atom ('^' nonneg-integer)?
     atom    := 'z' | number | 'i' | parameter name | '(' expr ')'
 
-Numbers are decimal literals, optionally followed by 'i' for a pure
-imaginary part (so ``1+2i`` parses as a sum).  Parameter values are bound
-at parse time from a name -> complex mapping.  Syntax errors carry the
-0-based character position.
+Numbers are decimal literals with an optional exponent (``1e-3``,
+``2.5E+1``), optionally followed by 'i' for a pure imaginary part (so
+``1+2i`` parses as a sum); the exponent after '^' is digits only.
+Parameter values are bound at parse time from a name -> complex mapping.
+Syntax errors carry the 0-based character position.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<num>\d+\.\d*|\.\d+|\d+)
+    (?P<num>(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
   | (?P<ws>\s+)
@@ -160,7 +161,7 @@ class ExprParser:
         if kind == "op" and text == "^":
             self._next()
             k2, t2, a2 = self._next()
-            if k2 != "num" or "." in t2:
+            if k2 != "num" or not t2.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", a2)
             val = _FractionField.pow(val, int(t2))
         return val

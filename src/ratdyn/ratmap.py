@@ -5,8 +5,8 @@ of dense polynomials with a monic denominator.  This module is the one home
 of sphere-point arithmetic.  Raw arithmetic (orbit steps, the snap grid,
 the chart-aware distance) runs in whichever affine chart keeps coordinates
 small (w = 1/z beyond radius 2); local analysis at a point z0 runs at 0 in
-u = z - z0, or u = 1/z when z0 is infinity (``local_coord``,
-``local_pair``).  Both rules act on raw values (a Python
+u = z - z0, or u = 1/z when z0 is infinity (``local_coord``, ``local_pair``,
+``RationalMap.local_jets``).  Both rules act on raw values (a Python
 ``complex``, or ``None`` for infinity), so orbit loops run on raw values
 and a ``SpherePoint`` carries one in ``value``.  Their array forms
 (``snap_keys``, ``distances``, ``local_coords``, ``moduli``) take the
@@ -29,8 +29,12 @@ compiled kernel.  ``RationalMap.step`` is one iterate of it.
 Taylor expansions of the iterates f^n have one home as well:
 ``RationalMap.iterate_jets`` steps a pair of Taylor jets (x : y) through
 the homogenized map, so an orbit through infinity needs no chart switch.
-``cycles``, ``parabolic``, ``extjet`` and ``compose_self_homogeneous`` read
-f^n from it.
+``RationalMap.local_jets`` seeds it with the jets of a point in its local
+coordinate, and ``cycles``, ``parabolic``, ``extjet``,
+``compose_self_homogeneous`` and the multipliers (``RationalMap.multiplier``,
+the first-order jet of f^n: a cycle's (f^p)' needs no chart) read f^n from
+it.  ``RationalMap.wronskian`` is num' den - num den', whose zeros are the
+finite critical points.
 """
 
 from __future__ import annotations
@@ -404,24 +408,15 @@ class RationalMap:
         # ascending num and den zero-padded to the degree: the homogenized pair
         self.padded = tuple(np.pad(p.coeffs, (0, self.degree - p.degree)) for p in (num, den))
         self._kernel = None  # the orbit kernel, built on first use
-        # Wronskian A'B - AB' of (A, B) in each chart: f' is W/B^2 there.  An
-        # overflow makes Polynomial raise, so numpy's warning would be noise.
-        self.wronskian = {}
+        # Wronskian num' den - num den': f' is W/den^2.  An overflow makes
+        # Polynomial raise, so numpy's warning would be noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            for chart in ("z", "w"):
-                a, b = self._chart_pair(chart)
-                self.wronskian[chart] = a.derivative() * b - a * b.derivative()
+            self.wronskian = num.derivative() * den - num * den.derivative()
 
     def __repr__(self):
         return f"RationalMap(num={self.num!r}, den={self.den!r})"
 
     # -- evaluation ------------------------------------------------------
-    def _chart_pair(self, chart):
-        """(A, B) with f expressed as A(t)/B(t) in the input chart t."""
-        if chart == "z":
-            return self.num, self.den
-        return self._rnum, self._rden
-
     def local_fraction(self, zi, zo):
         """(A, B): A(u)/B(u) is the local coordinate of f(z) about zo as a
         function of the local coordinate u of z about zi (see ``local_coord``)."""
@@ -457,27 +452,6 @@ class RationalMap:
     def __call__(self, z):
         return self.evaluate(z)
 
-    def derivative_multiplier_chart(self, z):
-        """Chart-correct derivative of f at z.
-
-        Input and output coordinates are each taken in the chart a point's
-        own position selects (w = 1/z beyond radius 2), so the product of
-        these values along a cycle is the cycle multiplier.
-        """
-        z = _as_point(z)
-        chart, t = chart_coords(z.value)
-        a, b = self._chart_pair(chart)
-        w = self.wronskian[chart]
-        out_chart, _ = chart_coords(self.step(z.value))
-        # derivative of A/B is W/B^2; of the flipped chart B/A it is -W/A^2
-        if out_chart == "z":
-            val = w(t) / b(t) ** 2
-        else:
-            val = -w(t) / a(t) ** 2
-        if not np.isfinite(val):
-            raise MapError(f"degenerate derivative at {z!r}")
-        return complex(val)
-
     def iterate_jets(self, x, y, n):
         """The n-th homogeneous iterate of the Taylor jets (x : y) (orders
         on axis 0, never written to), divided by max(|x_0|, |y_0|) after
@@ -490,19 +464,40 @@ class RationalMap:
             x, y = x / s, y / s  # not in place: the pair may alias the input jets
         return x, y
 
+    def local_jets(self, z0, k, n):
+        """The n-th homogeneous iterate (x : y) (``iterate_jets``) of the
+        jets, orders 0..k-1 on axis 0, of a point in its local coordinate u
+        about the raw value z0: (z0 + u : 1) for finite z0 (an array of them
+        on the further axes), (1 : u) when z0 is None (∞).  The pair comes
+        swapped at ∞, so x/y is the image in the chart of z0: its z for
+        finite z0, its 1/z at ∞."""
+        if z0 is None:
+            x, y = self.iterate_jets(*np.eye(2, k, dtype=complex), n)
+            return y, x
+        z0 = np.asarray(z0, dtype=complex)
+        x = np.zeros((k,) + z0.shape, dtype=complex)
+        y = np.zeros_like(x)
+        x[0], x[1:2], y[0] = z0, 1.0, 1.0
+        return self.iterate_jets(x, y, n)
+
+    def multiplier(self, z0, n):
+        """(f^n)' at z0 in its local coordinate (``local_jets``; z0 as
+        there): the multiplier of f^n where z0 is a fixed point of it."""
+        x, y = self.local_jets(z0, 2, n)
+        return (x[1] * y[0] - x[0] * y[1]) / y[0] ** 2
+
     # -- structure -------------------------------------------------------
     def compose_self_homogeneous(self, p):
         """Homogeneous coefficients (A, B) of f^p, unreduced and up to a
         common factor: f^p(z) = A(z)/B(z).  They are the order-d^p jets at 0
-        of the homogeneous iterate of (z : 1) (``iterate_jets``), exact."""
-        one, z = np.eye(2, self.degree**p + 1, dtype=complex)  # the jets of 1 and z
-        return tuple(map(Polynomial, self.iterate_jets(z, one, p)))
+        of the homogeneous iterate of (z : 1) (``local_jets``), exact."""
+        return tuple(map(Polynomial, self.local_jets(0j, self.degree**p + 1, p)))
 
     def critical_divisor(self):
         """Ramification divisor: critical points with multiplicity; degree 2d-2."""
         entries = []
         d = self.degree
-        w = self.wronskian["z"]
+        w = self.wronskian
         if w.is_zero:
             raise MapError("degenerate map: vanishing Wronskian")
         if w.degree >= 1 or w.coeffs[0] == 0:

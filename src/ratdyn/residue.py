@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import Polynomial, horner_with_derivative
-from .parabolic import ParabolicInvariants, _model_coordinate, tangency_and_residu
+from .parabolic import UNITY_TOL, ParabolicInvariants, _model_coordinate, tangency_and_residu
 from .parser import ExprParser
 from .ratmap import RationalMap, _as_point, local_pair
 
@@ -84,9 +84,6 @@ class FormDensity:
     def parse(cls, text, m=1, params=None):
         num, den = ExprParser(text, params).parse()
         return cls(num, den, m)
-
-    def w_value(self, z):
-        return self.w_num(z) / self.w_den(z)
 
     def density(self, z):
         """(1/pi) |W(z)|^(2/m), vectorized over complex arrays."""
@@ -312,8 +309,8 @@ class FatouBoxModel:
 
 def _linearizable(f, center):
     """|lambda| at a fixed point whose multiplier is off the unit circle, else None."""
-    mod = abs(f.derivative_multiplier_chart(_as_point(center)))
-    return mod if abs(mod - 1.0) > 1e-8 else None
+    mod = abs(complex(f.multiplier(_as_point(center).value, 1)))
+    return mod if abs(mod - 1.0) > UNITY_TOL else None
 
 
 def _region_sample(f, mu, kind, param, center, mod, inv, budget):

@@ -18,6 +18,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(*argv):
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter, whose
+    stderr shows numpy's warnings as a user sees them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "ratdyn.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
 class TestParse:
     def test_reports_degree_and_criticals(self, capsys):
         code, out, _ = run_cli(capsys, "parse", "--map", "z^2 - 1")
@@ -50,6 +61,10 @@ class TestParse:
             obj = json.loads(err)
             assert "error" in obj and "message" in obj
 
+    def test_exponent_literal(self, capsys):
+        code, out, _ = run_cli(capsys, "parse", "--map", "z^2+1e-3")
+        assert code == 0 and json.loads(out)["num"][0] == [1e-3, 0.0]
+
     def test_missing_map_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "parse")
         assert code == 2
@@ -58,14 +73,10 @@ class TestParse:
         # the Wronskian of 1e308 z^2 overflows; stderr carries the error object only
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"num": [[0, 0], [0, 0], [1e308, 0]], "den": [[1, 0]]}))
-        src = Path(__file__).resolve().parents[1] / "src"
-        out = subprocess.run(
-            [sys.executable, "-m", "ratdyn.cli", "parse", "--map-file", str(path)],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-        )
-        assert out.returncode == 2 and out.stdout == ""
-        assert out.stderr.count("\n") == 1
-        assert json.loads(out.stderr) == {
+        code, out, err = run_cli_process("parse", "--map-file", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
             "error": "ValueError", "message": "non-finite polynomial coefficient"}
 
 
@@ -78,6 +89,13 @@ class TestPipelines:
         assert code == 0
         classes = {c["class"] for c in obj["cycles"]}
         assert "SuperAttracting" in classes and "Repelling" in classes
+
+    def test_overflowing_preimages_keep_stderr_empty(self):
+        # the preimage iteration that seeds the z^40 solver overflows; the
+        # seeds replace those preimages, and no warning reaches stderr
+        code, out, err = run_cli_process("cycles", "--map", "z^40+0.1", "--max-period", "2")
+        assert code == 0 and err == ""
+        assert sum(c["period"] for c in json.loads(out)["cycles"]) == 40**2 + 1
 
     def test_parabolic(self, capsys):
         code, out, _ = run_cli(

@@ -93,18 +93,22 @@ def test_one_orbit_kernel():
     assert {module for module, _ in _owners(compiles)} <= {"ratmap"}
 
 
+def _calls(attr):
+    """The test for a call of a method or attribute named attr."""
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr
+
+
 def test_jet_iteration_lives_in_ratmap():
-    # RationalMap.iterate_jets is the one expansion of f^n (cycles,
-    # parabolic, extjet and compose_self_homogeneous all step it); only the
-    # residue quadrature pulls f back chart by chart
+    # RationalMap.iterate_jets is the one expansion of f^n, seeded only by
+    # RationalMap.local_jets (which cycles, the multipliers, parabolic,
+    # extjet and compose_self_homogeneous read); only the residue
+    # quadrature pulls f back chart by chart
     def defines_jet_step(node):
         return isinstance(node, ast.FunctionDef) and node.name in ("_jet_mul", "_homogeneous_pair")
 
-    def calls_local_fraction(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "local_fraction"
-
     assert {module for module, _ in _owners(defines_jet_step)} == {"ratmap"}
-    assert {module for module, _ in _owners(calls_local_fraction)} == {"residue"}
+    assert _owners(_calls("iterate_jets")) == {("ratmap", "local_jets")}
+    assert {module for module, _ in _owners(_calls("local_fraction"))} == {"residue"}
 
 
 def test_no_unused_imports():

@@ -94,7 +94,7 @@ class TestGrowingReturnSeries:
     """The coefficients of f^q at a bulb root grow with q; the tangency
     coefficient must not read as zero beside the larger ones after it."""
 
-    @pytest.mark.parametrize("k,q", [(k, q) for q in range(2, 12) for k in range(1, q)
+    @pytest.mark.parametrize("k,q", [(k, q) for q in range(2, 13) for k in range(1, q)
                                      if np.gcd(k, q) == 1])
     def test_bulb_root_petal_count(self, k, q):
         # the fixed point of multiplier e^{2 pi i k/q} has q petals under f^q
@@ -114,6 +114,14 @@ class TestGrowingReturnSeries:
         index = np.mean((z - z0) / (z - w))
         inv = tangency_and_residu(f, z0, 1, 7)
         assert abs(inv.nu - (4 - index)) < 1e-6
+
+    @pytest.mark.parametrize("k,nu", [(1, 5.78227492195929 + 0.584578455242251j),
+                                      (5, 5.55815272799615 + 0.00432897105101185j)])
+    def test_nu_at_twelve_petals(self, k, nu):
+        # the tangency sits at order 13, past the first truncation; nu from an
+        # 80-digit contour integral of dz/(z - f^12(z)) at radii 0.03 and 0.05
+        f, z0 = bulb_root(k, 12)
+        assert abs(tangency_and_residu(f, z0, 1, 12).nu - nu) < 1e-7
 
     def test_parabolic_cycle_through_infinity(self):
         # z^2 - 5/4 conjugated by 1/(z - a), which sends the point a of its

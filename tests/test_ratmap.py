@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ratdyn import ratmap
 from ratdyn.cli import main
 from ratdyn.kernel import Polynomial
+from ratdyn.parser import ExprParser, ParseError
 from ratdyn.ratmap import (
     CHART_RADIUS,
     SNAP_TOL,
@@ -152,13 +153,24 @@ class TestParseAndEvaluate:
             direct = (z**2 - 1) / (z**2 + 1)
             assert abs(f.evaluate(z).value - direct) < 1e-12
 
+    @pytest.mark.parametrize("text,num", [
+        ("z^2 + 1e-3", [1e-3, 0, 1]), ("1e200", [1e200]), ("2.5E+1i", [25j])])
+    def test_exponent_literals(self, text, num):
+        got, den = ExprParser(text, None).parse()
+        assert got.coeffs.tolist() == num and den.coeffs.tolist() == [1]
+
+    def test_power_exponent_is_digits_only(self):
+        with pytest.raises(ParseError, match="nonnegative integer"):
+            parse_map("z^1e2")
+
     @given(z=finite_complex(6.0))
     def test_step_matches_polynomial_evaluation(self, z):
-        # reference: the chart pair evaluated by Polynomial (numpy Horner),
-        # which rounds differently from the Python complex Horner of step
+        # reference: the fraction in the chart of z (reversed beyond radius 2)
+        # evaluated by Polynomial (numpy Horner), which rounds differently
+        # from the Python complex Horner of step
         f = parse_map("(z^3 + (0.3+0.2i)*z - 1)/(z^2 + 0.7i)")
         chart, t = chart_coords(SpherePoint(z).value)
-        a, b = f._chart_pair(chart)
+        a, b = (f.num, f.den) if chart == "z" else (f._rnum, f._rden)
         ref = a(t) / b(t)
         val = f.step(z)
         assert val is not None
@@ -419,6 +431,26 @@ class TestHomogeneousIterate:
         x, y = f.iterate_jets(np.array([1, 1, 0], dtype=complex),
                               np.array([1, 0, 0], dtype=complex), 1)
         assert x.tolist() == [1, 0, 0] and y.tolist() == [0, 1, 0]
+
+    def test_local_jets_shapes_and_charts(self):
+        # finite points put (z0 + u : 1) in; ∞ puts (1 : u) in, whose image
+        # (u : 1 - u) comes back swapped, so x/y is 1/f there
+        f = parse_map("1/(z - 1)")
+        z0 = np.array([0.5, 2.0, -3.0j])
+        x, y = f.local_jets(z0, 4, 1)
+        assert x.shape == y.shape == (4, 3)
+        assert np.allclose(x[0] / y[0], 1 / (z0 - 1), rtol=0, atol=1e-15)
+        x, y = f.local_jets(None, 4, 1)
+        assert x.tolist() == [1, -1, 0, 0] and y.tolist() == [0, 1, 0, 0]
+
+    @pytest.mark.parametrize("expr,z0,n,lam", [
+        ("z^2 - 1", (1 + 5**0.5) / 2, 1, 1 + 5**0.5),  # 2 z at a fixed point
+        ("3*z + 1/z", None, 1, 1 / 3),  # at ∞, in w = 1/z
+        ("z^2 + 1", None, 3, 0),  # superattracting ∞ of a polynomial
+        ("z + 1/z", 1j / 2**0.5, 2, 9),  # the 2-cycle {±i/√2}, through f^2
+    ])
+    def test_multiplier_from_local_jets(self, expr, z0, n, lam):
+        assert abs(parse_map(expr).multiplier(z0, n) - lam) <= 1e-12 * max(1, abs(lam))
 
 
 class TestCriticalDivisor:

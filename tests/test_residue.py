@@ -23,7 +23,7 @@ class TestFormDensity:
     def test_parse_and_density(self):
         mu = FormDensity.parse("1/z")
         assert abs(mu.density(2.0) - 1 / (4 * np.pi)) < 1e-14
-        assert abs(mu.w_value(0.5j) - (1 / 0.5j)) < 1e-14
+        assert abs(mu.density(0.5j) - 4 / np.pi) < 1e-14
 
     def test_order_scaling(self):
         mu2 = FormDensity.parse("1/z^2", m=2)

@@ -344,17 +344,18 @@ def find_cycles(f: RationalMap, max_period):
         z, _, m_inf = _fixed_points(f, p, pullback)
         values = [complex(zi) for zi in z] + ([None] if m_inf else [])
         levels[p] = values
-        # (f^p)' at each point, in its local coordinate: one jet iteration per level
-        lam = np.concatenate([f.multiplier(z, p), [f.multiplier(None, p)] if m_inf else []])
-        if not np.all(np.isfinite(lam)):
-            raise CycleError(f"a multiplier of f^{p} is not finite")
         zs = raw_array(values)
         seen = np.zeros(len(values), dtype=bool)
         for q in _divisors(p):
             for v in levels[q]:
                 seen |= distances(zs, v) <= SNAP_TOL
         exact = [v for v, old in zip(values, seen) if not old]
-        zs, lam = zs[:, ~seen], lam[~seen]
+        zs = zs[:, ~seen]
+        # (f^p)' at each new point, in its local coordinate: one jet iteration per level
+        at_inf = [f.multiplier(None, p)] if m_inf and not seen[-1] else []
+        lam = np.concatenate([f.multiplier(z[~seen[: len(z)]], p), at_inf])
+        if not np.all(np.isfinite(lam)):
+            raise CycleError(f"a multiplier of f^{p} is not finite")
         used = np.zeros(len(exact), dtype=bool)
         for i, start in enumerate(exact):
             if used[i]:

@@ -204,9 +204,9 @@ def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
     z0 = _as_point(z0)
     g = local_return_series(f, z0, p * r, 12 if N is None else N)
     found = _tangency_order(g)
-    # g - z has at most d^{pr} + 1 zeros, so a tangency past order d^{pr} + 1
-    # would make g the identity near z0
-    while found is None and N is None and g.order < f.degree ** (p * r) + 2:
+    # each cycle of petals attracts a critical orbit (Milnor, Thm 10.15), so
+    # m <= r (2d - 2): a longer truncation cannot show a tangency
+    while found is None and N is None and g.order < r * (2 * f.degree - 2) + 2:
         g = local_return_series(f, z0, p * r, 2 * g.order)
         found = _tangency_order(g)
     if found is None:

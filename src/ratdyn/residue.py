@@ -336,6 +336,8 @@ def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
     inv: the parabolic package at center; computed once here when the
     fatou family needs it and none is given.
     """
+    if f.evaluate(center) != _as_point(center):
+        raise ResidueError(f"center {_as_point(center)!r} is not a fixed point of f")
     mod = _linearizable(f, center) if kind == "fatou" else None
     if params is None:
         if kind == "disc":

@@ -203,6 +203,14 @@ class TestPipelines:
         obj = json.loads(err)
         assert obj["error"] == "ParseError" and "position 1" in obj["message"]
 
+    def test_residue_center_not_fixed_exits_2(self):
+        # 2/z sends the center 0 to infinity: no multiplier is computed there
+        code, out, err = run_cli_process("residue", "--map", "2/z", "--form", "1/z",
+                                         "--center", "0")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ResidueError"
+
     @pytest.mark.parametrize("argv", [
         ("--seed", "1", "parse", "--map", "z^2"),
         ("residue", "--map", "2*z", "--form", "1/z", "--qmc"),

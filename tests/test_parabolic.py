@@ -123,6 +123,14 @@ class TestGrowingReturnSeries:
         f, z0 = bulb_root(k, 12)
         assert abs(tangency_and_residu(f, z0, 1, 12).nu - nu) < 1e-7
 
+    def test_tangency_below_rounding_raises(self):
+        # at 64 petals the tangency coefficient is about (1e-6)^64: no
+        # truncation shows it, and the doubling stops at 64 (2d - 2) + 2
+        lam = np.exp(2j * np.pi / 64)
+        f = RationalMap(Polynomial([0, lam, 1e-6]), Polynomial([1]))
+        with pytest.raises(ParabolicError, match="truncation budget"):
+            tangency_and_residu(f, 0.0, 1, 64)
+
     def test_parabolic_cycle_through_infinity(self):
         # z^2 - 5/4 conjugated by 1/(z - a), which sends the point a of its
         # parabolic 2-cycle to infinity

@@ -63,6 +63,14 @@ class TestLinearizableResidue:
         v_fatou = dynamical_residue(f, mu, kind="fatou", params=[3]).value
         assert abs(v_disc - v_fatou) < 1e-6
 
+    @pytest.mark.parametrize("kind", ["fatou", "disc"])
+    @pytest.mark.parametrize("expr,center", [("2/z", 0.0), ("z + 1", 0.0), ("2/z", None)])
+    def test_center_not_fixed_rejected(self, expr, center, kind):
+        # both families are taken about a fixed point of f
+        with pytest.raises(ResidueError, match="not a fixed point"):
+            dynamical_residue(parse_map(expr), FormDensity.parse("1/z"), kind=kind,
+                              center=center)
+
     def test_single_region_matches_limit(self):
         f = parse_map("2*z")
         mu = FormDensity.parse("1/z")

@@ -17,24 +17,25 @@ starts from the d^p preimages of one generic point under f^p, most of
 which lie next to the repelling fixed points of f^p, and each iterate
 stops on its own step.  Iterates of a multiple zero are collapsed onto it by
 ``kernel.collapse_multiple_roots``, with Taylor coefficients from the same
-iteration.
+iteration; it alone gives a zero a multiplicity above 1.
 
-Exact periods are assigned by snap-tolerance matching against the zero sets
-of proper divisors -- never by deflation.  An orbit is assembled by
+Exact periods are assigned by matching at ``SNAP_TOL`` against the zero
+sets of proper divisors -- never by deflation.  An orbit is assembled by
 matching f of each point to the nearest unused zero of the same level.
 Both matchings measure ``ratmap``'s chart-aware distance on the arrays of
 ``ratmap.raw_array``, one per level, so they round as the scalar rule; an
-image that matches none, or an orbit that does not return to its start,
-raises ``CycleError``, so every reported cycle closes.  A cycle's
-multiplier is (f^p)' at its first point, in its local coordinate: the
-first-order jet of f^p from one more iteration of each level's fixed
-points, order 2 and all at once (``RationalMap.multiplier``), so no
-derivative is taken chart by chart along the orbit.  Classification
-follows the multiplier: attracting / superattracting / repelling by
-modulus, parabolic when the multiplier is a root of unity within a finite
-horizon (subclassified by the sign of Re(nu)), and irrationally indifferent
-cycles stay unresolved unless an arithmetic annotation (Brjuno / Liouville
-rotation number) decides Siegel vs Cremer.
+image beyond ``SNAP_TOL`` of every unused zero, or an orbit that does not
+return to within it of its start, raises ``CycleError``, so every reported
+cycle closes as ``SpherePoint`` compares points.  A cycle's multiplier
+is (f^p)' at its first point, in its local coordinate: the first-order jet
+of f^p from one more iteration of each level's fixed points, order 2 and
+all at once (``RationalMap.multiplier``), so no derivative is taken chart
+by chart along the orbit.  Classification follows the multiplier:
+attracting / superattracting / repelling by modulus, parabolic when the
+multiplier is a root of unity within a finite horizon (subclassified by
+the sign of Re(nu)), and irrationally indifferent cycles stay unresolved
+unless an arithmetic annotation (Brjuno / Liouville rotation number)
+decides Siegel vs Cremer.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import numpy as np
 
 from .kernel import (
     ALGEBRAIC_TOL,
-    _cluster,
     aberth,
+    by_position,
     collapse_multiple_roots,
     horner,
 )
@@ -128,16 +129,6 @@ class Annotation:
             target = SpherePoint(complex(self.cycle[0], self.cycle[1]))
             return next((pt for pt in cycle.points if pt == target), None)
         return None
-
-    def to_json(self):
-        out = {"kind": self.kind}
-        if self.cycle is not None:
-            out["cycle"] = self.cycle
-        if self.period:
-            out["period"] = self.period
-        if self.annulus:
-            out["annulus"] = list(self.annulus)
-        return out
 
 
 def load_annotations(obj):
@@ -314,7 +305,8 @@ def _fixed_points(f: RationalMap, p, pullback):
     z, _ = aberth(lambda x: form.jet(x, 2), pullback.seeds(p, n))
     if not np.all(np.isfinite(z)):
         raise CycleError(f"periodic-point iteration for f^{p} left the plane")
-    z = collapse_multiple_roots(z, form.taylor)
+    roots = collapse_multiple_roots(z, form.taylor)
+    z = np.array([r for r, _ in roots], dtype=complex)
     res = np.abs(form.jet(z, 1)[0])
     bound = ALGEBRAIC_TOL * np.maximum(1.0, np.abs(z))
     if not np.all(res <= bound):
@@ -322,12 +314,8 @@ def _fixed_points(f: RationalMap, p, pullback):
         raise CycleError(
             f"periodic points of f^{p} did not converge: residual {worst:.3e} times the bound"
         )
-    roots = _cluster([(complex(zi), 1) for zi in z])
-    return (
-        np.array([r for r, _ in roots], dtype=complex),
-        np.array([m for _, m in roots], dtype=int),
-        m_inf,
-    )
+    z, mult = zip(*by_position(roots))
+    return np.array(z, dtype=complex), np.array(mult, dtype=int), m_inf
 
 
 def _divisors(p):
@@ -336,7 +324,6 @@ def _divisors(p):
 
 def find_cycles(f: RationalMap, max_period):
     """All cycles of exact period <= max_period, sorted deterministically."""
-    match_tol = max(SNAP_TOL, 1e-6)
     levels = {}  # period q -> raw values of the fixed points of f^q
     cycles = []
     pullback = _Pullback(f)
@@ -367,7 +354,7 @@ def find_cycles(f: RationalMap, max_period):
                 d = distances(zs, image)
                 d[used] = np.inf
                 j = int(np.argmin(d))
-                if d[j] > match_tol:
+                if d[j] > SNAP_TOL:
                     raise CycleError(
                         f"orbit of {SpherePoint(orbit[-1])!r} does not close: f maps it "
                         f"{d[j]:.3g} from the nearest unused period-{p} point"
@@ -375,7 +362,7 @@ def find_cycles(f: RationalMap, max_period):
                 used[j] = True
                 orbit.append(exact[j])
             gap = distance(f.step(orbit[-1]), start)
-            if gap > match_tol:
+            if gap > SNAP_TOL:
                 raise CycleError(
                     f"orbit of {SpherePoint(start)!r} does not close: f^{p} moves it {gap:.3g}"
                 )

@@ -1,9 +1,10 @@
 """Foundational numerics: complex polynomials, root extraction, dense rank/nullity.
 
 Everything here is plain dense complex arithmetic at float64.  Tolerances are
-pinned (relative algebraic tolerance 1e-9, root-clustering radius 1e-6,
-multiple-root grouping radius 1e-3, trimming tolerance 1e-12) so results
-are reproducible.
+pinned (relative algebraic tolerance 1e-9, multiple-root grouping radius
+1e-3, trimming tolerance 1e-12) so results are reproducible.  A root has
+multiplicity above 1 only when ``collapse_multiple_roots`` certifies it, or
+when it is an exact zero at the origin.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 ALGEBRAIC_TOL = 1e-9
-CLUSTER_TOL = 1e-6
 TRIM_TOL = 1e-12
 
 
@@ -205,10 +205,11 @@ def _as_poly(x):
 def poly_roots(p):
     """All roots of p with multiplicity, by Aberth-Ehrlich simultaneous iteration.
 
-    Returns a list of (root, multiplicity) pairs.  Each returned root r
-    satisfies |p(r)| <= ALGEBRAIC_TOL scale(p) max(1, |r|)^deg after Newton
-    polishing; roots closer than the clustering radius (``_cluster``) are
-    merged and reported with their combined multiplicity at the centroid.
+    Returns a list of (root, multiplicity) pairs, ordered by ``by_position``.
+    Each returned root r satisfies |p(r)| <= ALGEBRAIC_TOL scale(p)
+    max(1, |r|)^deg after Newton polishing.  Exact zeros at the origin are
+    one root of their count; every other multiplicity is certified by
+    ``collapse_multiple_roots``.
     """
     p = _as_poly(p)
     if p.is_zero:
@@ -228,7 +229,7 @@ def poly_roots(p):
         return roots
     if n == 1:
         roots.append((-c[0] / c[1], 1))
-        return _cluster(roots)
+        return by_position(roots)
 
     q = Polynomial(c)
     dq = q.derivative()
@@ -248,11 +249,12 @@ def poly_roots(p):
             raise RootFindingError(
                 f"{int(np.sum(~np.isfinite(z)))} of {n} root iterates are not finite", best=z
             )
-        z = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, scale, x, k))
-        res = np.abs(q(z))
+        found = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, scale, x, k))
+        zr = np.array([r for r, _ in found], dtype=complex)
+        res = np.abs(q(zr))
     if not np.all(np.isfinite(res)):
         raise RootFindingError("root residual is not finite", best=z)
-    bound = ALGEBRAIC_TOL * scale * np.maximum(1.0, np.abs(z)) ** n
+    bound = ALGEBRAIC_TOL * scale * np.maximum(1.0, np.abs(zr)) ** n
     if np.any(res > bound):
         worst = float(np.max(res / np.maximum(bound, 1e-300)))
         raise RootFindingError(
@@ -260,8 +262,14 @@ def poly_roots(p):
             + ("" if ok else " (iteration stalled)"),
             best=z,
         )
-    roots.extend((complex(zi), 1) for zi in z)
-    return _cluster(roots)
+    return by_position(roots + found)
+
+
+def by_position(roots):
+    """(root, multiplicity) pairs sorted by position to 1e-9, ties in their
+    given order; a zero real or imaginary part of a root is +0.0."""
+    roots = [(complex(r.real + 0.0, r.imag + 0.0), m) for r, m in roots]
+    return sorted(roots, key=lambda rm: (round(rm[0].real, 9), round(rm[0].imag, 9)))
 
 
 def _shifted_taylor(q, scale, x, k):
@@ -329,21 +337,23 @@ def aberth(jet, z):
 
 
 def collapse_multiple_roots(z, taylor):
-    """Snap near-coincident iterates onto certified multiple roots.
+    """The roots the iterates z stand for, as (root, multiplicity) pairs in iterate order.
 
     A root of multiplicity m can only be located to ~eps^(1/m) by direct
-    iteration, which defeats the fixed clustering radius.  Iterates within
-    the coarse radius _GROUP_RADIUS of each other form a group.  A member
-    is a resolved simple root, and keeps its place, when both its Newton
-    step and the uncertainty (zero level of t_0)/|t_1| of its position are
-    below _RESOLVE_RATIO times its distance to the rest of the group (a residual
-    that rounds to zero says nothing by itself).  The m unresolved members
+    iteration, so no fixed radius can decide which iterates are one root.
+    Iterates within the coarse radius _GROUP_RADIUS of each other form a
+    group.  A member is a resolved simple root, and keeps its place, when
+    both its Newton step and the uncertainty (zero level of t_0)/|t_1| of
+    its position are below _RESOLVE_RATIO times its distance to the rest of
+    the group (a residual that rounds to zero says nothing by itself).  The m unresolved members
     are tested against the hypothesis of one m-fold root: the (m-1)-th
     derivative has a simple (hence machine-precision) root there, and the
     collapse is certified when every Taylor coefficient t_0 .. t_(m-1) at
     that point is at or below its zero level.  When it is not, the member
     farthest from the centroid is set aside and the (m-1)-fold hypothesis
     is tried, down to two members; the members left over are tried again.
+    A certified m-fold root is reported once, at the place of its first
+    member; every other iterate is a simple root.
 
     ``taylor(x, k)`` gives the Taylor coefficients t_0 .. t_k of the function
     at x, up to a nonzero factor that may depend on x, and for each the
@@ -364,6 +374,7 @@ def collapse_multiple_roots(z, taylor):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     out = z.copy()
+    mult = np.ones(n, dtype=int)  # 0 for a member folded into its root
     for members in groups.values():
         if len(members) < 2:
             continue
@@ -381,14 +392,15 @@ def collapse_multiple_roots(z, taylor):
             while len(trial) >= 2:
                 zs = _certified_multiple_root(z[trial], taylor)
                 if zs is not None:
-                    out[trial] = zs
+                    mult[trial] = 0
+                    out[trial[0]], mult[trial[0]] = zs, len(trial)
                     break
                 far = int(np.argmax(np.abs(z[trial] - np.mean(z[trial]))))
                 trial.pop(far)
             if len(trial) < 2:
                 break
             pending = [i for i in pending if i not in trial]
-    return out
+    return [(complex(zi), int(m)) for zi, m in zip(out, mult) if m]
 
 
 def _certified_multiple_root(pts, taylor):
@@ -408,41 +420,6 @@ def _certified_multiple_root(pts, taylor):
         return None
     t, zero = taylor(zs, m - 1)
     return zs if np.all(np.abs(t) <= zero[: len(t)]) else None
-
-
-def _cluster(roots):
-    """Merge roots within CLUSTER_TOL max(1, |centroid|); multiplicities add.
-
-    Only roots with another root within four radii take part in the
-    centroid-growing scan; every other root is a cluster of its own.
-    """
-    z = np.array([zi for zi, _ in roots], dtype=complex)
-    mergeable = sorted({i for pair in _close_pairs(z, 4 * CLUSTER_TOL) for i in pair})
-    out = []
-    used = [False] * len(roots)
-    for i, (zi, mi) in enumerate(roots):
-        if used[i]:
-            continue
-        members = [(zi, mi)]
-        used[i] = True
-        changed = bool(mergeable)
-        while changed:
-            changed = False
-            cz = sum(m * z for z, m in members) / sum(m for _, m in members)
-            for j in mergeable:
-                zj, mj = roots[j]
-                if used[j]:
-                    continue
-                radius = CLUSTER_TOL * max(1.0, abs(cz))
-                if abs(zj - cz) <= radius:
-                    members.append((zj, mj))
-                    used[j] = True
-                    changed = True
-        m = sum(mm for _, mm in members)
-        cz = sum(mm * z for z, mm in members) / m
-        out.append((complex(cz), m))
-    out.sort(key=lambda rm: (round(rm[0].real, 9), round(rm[0].imag, 9)))
-    return out
 
 
 def rank_nullity(mat):

@@ -380,8 +380,8 @@ def local_pair(num, den, z0):
 class RationalMap:
     """A rational map f = num/den of degree max(deg num, deg den) >= 1.
 
-    The stored fraction is reduced (no common roots within clustering
-    tolerance) and the denominator is monic (or exactly 1 when constant).
+    The stored fraction is reduced by ``_reduce_fraction`` (no common
+    roots) and the denominator is monic (or exactly 1 when constant).
     """
 
     def __init__(self, num, den):

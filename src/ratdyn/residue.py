@@ -241,6 +241,7 @@ class FatouBoxModel:
         self.m = inv.e_loc
         self.nu = inv.nu
         self.xser = inv.normal_series
+        self.xinv, self.dxser = self.xser.reverse(), self.xser.derivative()
 
     def s0(self, u):
         """Approximate Fatou coordinate, principal log (cut on repelling axes)."""
@@ -285,12 +286,12 @@ class FatouBoxModel:
                        _gauss_pieces(np.exp(2j * np.pi * j / m) * np.array([a, b]), n)]
         x, dx, w = (np.concatenate(c)[::-1] for c in zip(*pieces))
         # u = z - z0 solves normal_series(u) = x: Newton from the reverted series
-        u, dser = self.xser.reverse()(x), self.xser.derivative()
+        u = self.xinv(x)
         for _ in range(10):
-            u = u - (self.xser(u) - x) / dser(u)
+            u = u - (self.xser(u) - x) / self.dxser(u)
         if not np.all(np.abs(self.xser(u) - x) <= 1e-12 * np.abs(x)):
             return None
-        return u, -dx / dser(u), w
+        return u, -dx / self.dxser(u), w
 
     def indicator_diff(self, u, R):
         """+1 on f(V(R)) \\ V(R), -1 on V(R) \\ f(V(R)), else 0: the winding

@@ -59,6 +59,12 @@ def test_annotation_anchoring_lives_in_cycles():
     assert _modules_matching(r"isinstance\([\w.]*cycle, int\)") == {"cycles"}
 
 
+def test_no_clustering_radius():
+    # a multiplicity comes only from kernel.collapse_multiple_roots (or an
+    # exact zero at the origin), and cycles matches points at SNAP_TOL
+    assert _modules_matching(r"\b(CLUSTER_TOL|_cluster|match_tol)\b") == set()
+
+
 def _owners(test):
     """(module, innermost enclosing function or "") of each node of the
     package's source for which test holds."""

@@ -13,6 +13,8 @@ from ratdyn.kernel import (
     Polynomial,
     RootFindingError,
     ZeroPolynomialError,
+    _shifted_taylor,
+    collapse_multiple_roots,
     horner_with_derivative,
     nullspace,
     poly_roots,
@@ -123,6 +125,38 @@ class TestRoots:
         p = Polynomial([-1, 1]) ** 3
         [(z, m)] = poly_roots(p)
         assert m == 3 and abs(z - 1) < 1e-5
+
+    @pytest.mark.parametrize("a", [1.0, 0.3 + 0.4j, -2.0])
+    def test_triple_root_at_certified_value(self, a):
+        # (z - a)^3 (z - a - 1/2): the iterates of a stand within eps^(1/3)
+        # of it; the one reported root is the certified, machine-precision one
+        p = Polynomial([-a, 1]) ** 3 * Polynomial([-(a + 0.5), 1])
+        [(za, ma), (zb, mb)] = poly_roots(p)
+        assert (ma, mb) == (3, 1)
+        assert abs(za - a) < 1e-13 and abs(zb - (a + 0.5)) < 1e-9
+
+    def test_roots_have_no_negative_zero(self):
+        # numpy divides -(-1 + 0j) by (1 + 0j) to 1 - 0j; JSON would print -0.0
+        [(z, m)] = poly_roots(Polynomial([-1, 1]))
+        assert (z, m) == (1, 1) and np.copysign(1.0, z.imag) == 1.0
+
+    def test_collapse_reports_pairs_in_iterate_order(self):
+        # (z - 1)^2 (z + 2) (z - 3): the double root is reported once, at
+        # its first member (iterate 1), at the certified value; the simple
+        # roots keep their places and their values
+        q = Polynomial([-1, 1]) ** 2 * Polynomial([2, 1]) * Polynomial([-3, 1])
+        z = np.array([3.0, 1 + 1e-8j, -2.0, 1 - 1e-8j])
+        found = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, q.scale(), x, k))
+        assert [m for _, m in found] == [1, 2, 1]
+        assert found[0][0] == 3.0 and found[2][0] == -2.0
+        assert abs(found[1][0] - 1) < 1e-14
+
+    def test_collapse_keeps_uncertified_iterates_simple(self):
+        # two simple roots 1e-4 apart share a group but are resolved
+        q = Polynomial([-1, 1]) * Polynomial([-(1 + 1e-4), 1])
+        z = np.array([1 + 1e-4, 1.0])
+        found = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, q.scale(), x, k))
+        assert found == [(1 + 1e-4, 1), (1.0, 1)]
 
     def test_nonfinite_iterates_raise(self):
         # f^6(z) - z of z^2 - 1 in monomials (degree 64): the iteration overflows

@@ -159,6 +159,18 @@ class TestParseAndEvaluate:
         got, den = ExprParser(text, None).parse()
         assert got.coeffs.tolist() == num and den.coeffs.tolist() == [1]
 
+    @pytest.mark.parametrize("text,num", [
+        ("2z", [0, 2]), ("3(z+1)", [3, 3]), ("z(z-1)", [0, -1, 1]),
+        ("2z^2 + 1", [1, 0, 2]), ("c z", [0, 0.5 - 1j]), ("2i z", [0, 2j])])
+    def test_implicit_multiplication(self, text, num):
+        got, den = ExprParser(text, {"c": 0.5 - 1j}).parse()
+        assert got.coeffs.tolist() == num and den.coeffs.tolist() == [1]
+
+    def test_number_after_factor_is_not_a_product(self):
+        # implicit '*' comes only before a name or '('
+        with pytest.raises(ParseError, match="unexpected '2'"):
+            ExprParser("z 2", None).parse()
+
     def test_power_exponent_is_digits_only(self):
         with pytest.raises(ParseError, match="nonnegative integer"):
             parse_map("z^1e2")

@@ -55,6 +55,15 @@ class TestLinearizableResidue:
                                 kind="disc")
         assert abs(est.value + LOG4) < 1e-3
 
+    @pytest.mark.parametrize("expr,sign", [("2*z", 1), ("0.5*z", -1)])
+    def test_fatou_family_at_linearizable_point(self, expr, sign):
+        # the default fatou grid at a linearizable point: discs of radius
+        # |lambda|^-R for R = 5 .. 12; the trace is flat to rounding
+        est = dynamical_residue(parse_map(expr), FormDensity.parse("1/z"), kind="fatou")
+        assert [p for p, _ in est.parameter_trace] == [5, 6, 8, 10, 12]
+        assert est.reliable and est.error_bar < 1e-12
+        assert abs(est.value - sign * LOG4) < 1e-12
+
     def test_region_family_independence(self):
         # the same limit from the disc family and the fatou-style fallback
         f = parse_map("2*z")
@@ -94,6 +103,17 @@ class TestBudgetAndFlags:
         assert rows[0] == ("param", "value")
         assert len(rows) == 3
         assert rows[1][0] == 0.2
+
+    def test_oscillatory_trace_is_tail_averaged(self):
+        # nu = 6 at z + z^2 - 5 z^3: the trace over R = 20 .. 48 oscillates,
+        # so the estimate is the mean of the last three samples, flagged
+        f = parse_map("z + z^2 - 5*z^3")
+        est = dynamical_residue(f, FormDensity.parse("(1 + 6*z)/z^2"), kind="fatou",
+                                params=[20, 24, 32, 48])
+        assert "oscillatory trace; tail-averaged" in est.notes
+        assert not est.reliable
+        tail = [v for _, v in est.parameter_trace[-3:]]
+        assert est.value == pytest.approx(np.mean(tail), rel=1e-15)
 
 
 class TestParabolicResidue:

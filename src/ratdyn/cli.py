@@ -332,7 +332,16 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    # argparse reads a value that starts with '-' (-1/z, -0.5+0i) as an
+    # option; bind such a value to its option as --opt=value
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        takes_value = joined and joined[-1] in ("--map", "--form", "--center", "--point", "--orbit-from")
+        if takes_value and arg.startswith("-"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = ap.parse_args(joined)
     try:
         return args.fn(args)
     except INPUT_ERRORS as exc:

@@ -388,6 +388,10 @@ def classify(cycle: Cycle, f: RationalMap, annotations=()):
         cycle.cls = CLASS_REPELLING
         return cycle
     r = rotation_order(lam)
+    if r is not None and r > 1 and f.degree == 1:
+        # deg f^n = d^n, so only a Moebius map has an iterate equal to the
+        # identity; at an elliptic fixed point of order r, f^{pr} is one
+        raise CycleError(f"f^{cycle.period * r} is the identity; periodic points are not isolated")
     if r is not None:
         z0 = cycle.representative()
         inv = tangency_and_residu(f, z0, cycle.period, r)

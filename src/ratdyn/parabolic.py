@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import TruncatedSeries
-from .ratmap import RationalMap, SpherePoint, _as_point, local_coord
+from .ratmap import SNAP_TOL, RationalMap, SpherePoint, _as_point, distance, local_coord
 
 UNITY_TOL = 1e-8
 UNITY_HORIZON = 64
@@ -99,17 +99,20 @@ class ParabolicInvariants:
 def local_return_series(f: RationalMap, z0, n, N):
     """Taylor series of f^n at its fixed point z0 to order N, in the local
     coordinate u: x/y - z0 of the n-th iterate (x : y) of the jets of z0
-    (``RationalMap.local_jets``), or x/y itself at infinity.  The constant
-    term is checked small and set to exactly zero."""
+    (``RationalMap.local_jets``), or x/y itself at infinity.  f^n fixes z0
+    when the image x_0/y_0 is within SNAP_TOL of z0 in ``ratmap.distance``
+    (the rule of ``SpherePoint``); the constant term is then set to zero."""
     z0 = _as_point(z0)
     x, y = f.local_jets(z0.value, N + 1, n)
     if y[0] == 0:
         raise ParabolicError(f"f^{n} moves {z0!r} to the other chart")
+    image = complex(x[0]) / complex(y[0])  # in the chart of z0: its 1/z at infinity
+    if z0.is_infinity:
+        image = 1.0 / image if image else None
+    gap = distance(image, z0.value)
+    if gap > SNAP_TOL:
+        raise ParabolicError(f"f^{n} does not fix {z0!r} (distance {gap:.2e})")
     out = TruncatedSeries(x) * TruncatedSeries(y).inverse()
-    out.c[0] -= 0 if z0.is_infinity else z0.value
-    scale = max(np.max(np.abs(out.c)), 1e-30)
-    if abs(out.c[0]) > 1e-6 * scale:
-        raise ParabolicError(f"f^{n} does not fix {z0!r} (residual {abs(out.c[0]):.2e})")
     out.c[0] = 0.0
     return out
 

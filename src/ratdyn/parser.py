@@ -54,45 +54,6 @@ def tokenize(text):
     return out
 
 
-class _FractionField:
-    """Fraction arithmetic on (num, den) Polynomial pairs."""
-
-    @staticmethod
-    def const(c):
-        return (Polynomial([c]), Polynomial([1.0]))
-
-    @staticmethod
-    def var():
-        return (Polynomial([0.0, 1.0]), Polynomial([1.0]))
-
-    @staticmethod
-    def add(a, b):
-        return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-
-    @staticmethod
-    def sub(a, b):
-        return (a[0] * b[1] - b[0] * a[1], a[1] * b[1])
-
-    @staticmethod
-    def mul(a, b):
-        return (a[0] * b[0], a[1] * b[1])
-
-    @staticmethod
-    def div(a, b):
-        return (a[0] * b[1], a[1] * b[0])
-
-    @staticmethod
-    def pow(a, k):
-        num, den = Polynomial([1.0]), Polynomial([1.0])
-        for _ in range(k):
-            num, den = num * a[0], den * a[1]
-        return (num, den)
-
-    @staticmethod
-    def neg(a):
-        return (-a[0], a[1])
-
-
 class ExprParser:
     """Recursive-descent evaluator producing complex-coefficient fractions.
 
@@ -123,69 +84,73 @@ class ExprParser:
         return val
 
     def expr(self):
-        val = self.term()
+        num, den = self.term()
         while True:
             kind, text, _ = self._peek()
-            if kind == "op" and text in "+-":
-                self._next()
-                rhs = self.term()
-                val = _FractionField.add(val, rhs) if text == "+" else _FractionField.sub(val, rhs)
-            else:
-                return val
+            if not (kind == "op" and text in "+-"):
+                return num, den
+            self._next()
+            rnum, rden = self.term()
+            num = num * rden + rnum * den if text == "+" else num * rden - rnum * den
+            den = den * rden
 
     def term(self):
-        val = self.factor()
+        num, den = self.factor()
         while True:
             kind, text, at = self._peek()
             if kind == "op" and text in "*/":
                 self._next()
-                rhs = self.factor()
-                if text == "/" and rhs[0].is_zero:
-                    raise ParseError("division by the zero expression", at)
-                val = _FractionField.mul(val, rhs) if text == "*" else _FractionField.div(val, rhs)
-            elif kind == "name" or (kind == "op" and text == "("):
-                # implicit multiplication: 2z, 3(z+1), z(z-1)
-                rhs = self.factor()
-                val = _FractionField.mul(val, rhs)
+            elif not (kind == "name" or (kind == "op" and text == "(")):
+                return num, den
+            # a name or '(' with no operator is an implicit product: 2z, 3(z+1), z(z-1)
+            rnum, rden = self.factor()
+            if text != "/":
+                num, den = num * rnum, den * rden
+            elif rnum.is_zero:
+                raise ParseError("division by the zero expression", at)
             else:
-                return val
+                num, den = num * rden, den * rnum
 
     def factor(self):
-        kind, text, at = self._peek()
+        kind, text, _ = self._peek()
         if kind == "op" and text in "+-":
             self._next()
-            val = self.factor()
-            return val if text == "+" else _FractionField.neg(val)
-        val = self.atom()
-        kind, text, at = self._peek()
-        if kind == "op" and text == "^":
+            num, den = self.factor()
+            return (num, den) if text == "+" else (-num, den)
+        num, den = self.atom()
+        if self._peek()[:2] == ("op", "^"):
             self._next()
             k2, t2, a2 = self._next()
             if k2 != "num" or not t2.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", a2)
-            val = _FractionField.pow(val, int(t2))
-        return val
+            # the repeated product, not Polynomial.__pow__: binary powering rounds differently
+            pnum, pden = Polynomial([1.0]), Polynomial([1.0])
+            for _ in range(int(t2)):
+                pnum, pden = pnum * num, pden * den
+            num, den = pnum, pden
+        return num, den
 
     def atom(self):
         kind, text, at = self._next()
-        if kind == "num":
-            nxt = self._peek()
-            if nxt[0] == "name" and nxt[1] == "i":
-                self._next()
-                return _FractionField.const(complex(0, float(text)))
-            return _FractionField.const(complex(float(text)))
-        if kind == "name":
-            if text == "z":
-                return _FractionField.var()
-            if text == "i":
-                return _FractionField.const(1j)
-            if text in self.params:
-                return _FractionField.const(complex(self.params[text]))
-            raise ParseError(f"unbound parameter {text!r}", at)
         if kind == "op" and text == "(":
             val = self.expr()
             k2, t2, a2 = self._next()
             if not (k2 == "op" and t2 == ")"):
                 raise ParseError("expected ')'", a2)
             return val
-        raise ParseError(f"unexpected {text or 'end of input'!r}", at)
+        if kind == "num":
+            imaginary = self._peek()[:2] == ("name", "i")
+            if imaginary:
+                self._next()
+            c = complex(0, float(text)) if imaginary else complex(float(text))
+        elif kind == "name" and text == "z":
+            return Polynomial([0.0, 1.0]), Polynomial([1.0])
+        elif kind == "name" and text == "i":
+            c = 1j
+        elif kind == "name" and text in self.params:
+            c = complex(self.params[text])
+        elif kind == "name":
+            raise ParseError(f"unbound parameter {text!r}", at)
+        else:
+            raise ParseError(f"unexpected {text or 'end of input'!r}", at)
+        return Polynomial([c]), Polynomial([1.0])

@@ -314,21 +314,6 @@ def _linearizable(f, center):
     return mod if abs(mod - 1.0) > UNITY_TOL else None
 
 
-def _region_sample(f, mu, kind, param, center, mod, inv, budget):
-    """(value, converged) for one region instance.
-
-    mod is |lambda| at a linearizable fatou center (None when parabolic).
-    """
-    if kind == "disc":
-        return disc_residue(f, mu, center, param, budget)
-    if kind == "fatou":
-        if mod is not None:
-            # linearizable point: the model region is the |lam|^-R disc
-            return disc_residue(f, mu, center, min(mod, 1.0 / mod) ** param, budget)
-        return FatouBoxModel(f, inv).residue(mu, param, budget)
-    raise ResidueError(f"unknown region kind {kind!r}")
-
-
 def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
                       params=None, inv=None, budget=QUAD_BUDGET):
     """Extrapolated residue along a shrinking region family.
@@ -339,22 +324,26 @@ def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
     """
     if f.evaluate(center) != _as_point(center):
         raise ResidueError(f"center {_as_point(center)!r} is not a fixed point of f")
-    mod = _linearizable(f, center) if kind == "fatou" else None
-    if params is None:
-        if kind == "disc":
-            params = [0.2, 0.1, 0.05, 0.025]
-        elif mod is None:
-            # at small R the boundary of V(R) reaches beyond the normal series
-            params = [20.0, 24.0, 32.0, 40.0, 48.0]
-        else:
-            # keeps eps = |lambda|^-R above the rounding level of the point
-            params = [5.0, 6.0, 8.0, 10.0, 12.0]
-    if kind == "fatou" and mod is None and inv is None:
-        inv = tangency_and_residu(f, _as_point(center), 1, 1)
+    if kind == "disc":
+        default = [0.2, 0.1, 0.05, 0.025]
+        sample = functools.partial(disc_residue, f, mu, center)
+    elif kind != "fatou":
+        raise ResidueError(f"unknown region kind {kind!r}")
+    elif (mod := _linearizable(f, center)) is not None:
+        # linearizable point: the model region is the eps = |lambda|^-R disc,
+        # and the grid keeps eps above the rounding level of the point
+        default = [5.0, 6.0, 8.0, 10.0, 12.0]
+        sample = lambda R, budget: disc_residue(f, mu, center, min(mod, 1.0 / mod) ** R, budget)
+    else:
+        # at small R the boundary of V(R) reaches beyond the normal series
+        default = [20.0, 24.0, 32.0, 40.0, 48.0]
+        if inv is None:
+            inv = tangency_and_residu(f, _as_point(center), 1, 1)
+        sample = functools.partial(FatouBoxModel(f, inv).residue, mu)
     trace, notes = [], []
     all_converged = True
-    for p in params:
-        v, ok = _region_sample(f, mu, kind, p, center, mod, inv, budget)
+    for p in default if params is None else params:
+        v, ok = sample(p, budget)
         all_converged = all_converged and ok
         if np.isfinite(v):  # a region that was not traced has no value
             trace.append((float(p), float(v)))

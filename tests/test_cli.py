@@ -221,6 +221,29 @@ class TestPipelines:
             main(list(argv))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--map", "-1/z"),
+        ("cycles", "--map", "-z^2", "--max-period", "1"),
+        ("residue", "--map", "2*z", "--form", "-1/z", "--family", "disc"),
+        ("residue", "--map", "2*z + 2", "--form", "1/(z+2)", "--family", "disc",
+         "--center", "-2+0i"),
+        ("ext", "--map", "z + z^2", "--point", "-0.0+0i"),
+        ("tails", "--map", "z^2 - 1", "--max-period", "1", "--orbit-csv", "{tmp}",
+         "--orbit-from", "-1"),
+    ])
+    def test_values_starting_with_minus(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "orbit.csv") if a == "{tmp}" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        if argv[0] == "parse":
+            assert json.loads(out)["degree"] == 1
+
+    def test_elliptic_moebius_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "cycles", "--map", "i*z", "--max-period", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "CycleError", "message":
+                                   "f^4 is the identity; periodic points are not isolated"}
+
     def test_residue_with_trace(self, capsys, tmp_path):
         csv = tmp_path / "trace.csv"
         code, out, _ = run_cli(

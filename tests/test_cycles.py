@@ -278,6 +278,18 @@ class TestIteratedMapRoots:
         with pytest.raises(CycleError, match="identity"):
             find_cycles(parse_map("-1/z"), 2)
 
+    @pytest.mark.parametrize("expr,order", [("i*z", 4), ("-1/z", 2), ("-z", 2), ("1/z", 2)])
+    def test_elliptic_moebius_raises(self, expr, order):
+        # a fixed point of multiplier e^{2 pi i k/r}, r > 1, of a degree-1
+        # map: f^r is the identity
+        with pytest.raises(CycleError, match=f"f\\^{order} is the identity"):
+            analyze_cycles(parse_map(expr), 1)
+
+    def test_parabolic_moebius_is_classified(self):
+        # multiplier 1 (r = 1): f^n is never the identity
+        [cycle] = analyze_cycles(parse_map("z/(1+z)"), 1)
+        assert cycle.cls == CLASS_PARABOLIC_ATTR and cycle.parabolic.r == 1
+
     def test_near_parabolic_pair_kept_apart(self):
         f = parse_map("z^2 + c", {"c": 0.25 - 2.5e-9})
         cycles = analyze_cycles(f, 1)

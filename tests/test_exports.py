@@ -135,3 +135,9 @@ def test_no_unused_imports():
                     if name not in read:
                         unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def test_no_private_call_layers():
+    # the parser combines its Polynomial pairs inline, and dynamical_residue
+    # picks the region family once and calls the region functions itself
+    assert not _modules_matching(r"_FractionField|_region_sample")

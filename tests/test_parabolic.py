@@ -115,6 +115,13 @@ class TestGrowingReturnSeries:
         inv = tangency_and_residu(f, z0, 1, 7)
         assert abs(inv.nu - (4 - index)) < 1e-6
 
+    def test_closure_is_the_same_point_rule(self):
+        # f^7 moves a point 0.1 off the 1/7 root by 6.8e-6, beyond SNAP_TOL;
+        # beside the coefficients of f^7 (up to 3e6) that once read as closed
+        f, z0 = bulb_root(1, 7)
+        with pytest.raises(ParabolicError, match="does not fix"):
+            local_return_series(f, z0 + 0.1, 7, 12)
+
     @pytest.mark.parametrize("k,nu", [(1, 5.78227492195929 + 0.584578455242251j),
                                       (5, 5.55815272799615 + 0.00432897105101185j)])
     def test_nu_at_twelve_petals(self, k, nu):

@@ -128,6 +128,46 @@ class TestSpherePoint:
                 RationalMap([0, 0, 1e308], [1])
 
 
+def _written_out_products():
+    """Expression -> thunk of (num, den), each step the Polynomial product or
+    sum the parser takes, in its order; a^k is ((1 a) a) ... a."""
+    one, z = Polynomial([1.0]), Polynomial([0.0, 1.0])
+
+    def c(x):
+        return Polynomial([complex(x)])
+
+    def cube_over_square():  # (z+0.1)^3/(2z-1)^2
+        n, d = z * one + c(0.1) * one, one * one
+        n3, d3 = one * n * n * n, one * d * d * d
+        n, d = (c(2) * z) * one - c(1) * (one * one), (one * one) * one
+        n2, d2 = one * n * n, one * d * d
+        return n3 * d2, d3 * n2
+
+    def negated_product():  # -(1+2i)z^2/(z-0.3i)
+        n, d = -(c(1) * one + c(2j) * one), one * one
+        n, d = n * (one * z * z), d * (one * one * one)
+        return n * (one * one), d * (z * one - c(0.3j) * one)
+
+    def nested_quotient():  # 1/(1/z)
+        return c(1) * (one * z), one * (c(1) * one)
+
+    def implicit_difference():  # 3(z+1)^2 - z(z-1)
+        n, d = z * one + c(1) * one, one * one
+        an, ad = c(3) * (one * n * n), one * (one * d * d)
+        bn, bd = z * (z * one - c(1) * one), one * (one * one)
+        return an * bd - bn * ad, ad * bd
+
+    return {
+        "(z+0.1)^3/(2z-1)^2": cube_over_square,
+        "-(1+2i)z^2/(z-0.3i)": negated_product,
+        "1/(1/z)": nested_quotient,
+        "3(z+1)^2 - z(z-1)": implicit_difference,
+    }
+
+
+PARSED_PRODUCTS = _written_out_products()
+
+
 class TestParseAndEvaluate:
     def test_parse_degree(self):
         assert parse_map("z^2 + 1/4").degree == 2
@@ -174,6 +214,25 @@ class TestParseAndEvaluate:
     def test_power_exponent_is_digits_only(self):
         with pytest.raises(ParseError, match="nonnegative integer"):
             parse_map("z^1e2")
+
+    @pytest.mark.parametrize("text", list(PARSED_PRODUCTS))
+    def test_parse_is_the_written_out_products(self, text):
+        # the parser's sums and products of (num, den) pairs, in its operation
+        # order: a different order rounds differently
+        num, den = ExprParser(text, None).parse()
+        want_num, want_den = PARSED_PRODUCTS[text]()
+        assert num.coeffs.tobytes() == want_num.coeffs.tobytes()
+        assert den.coeffs.tobytes() == want_den.coeffs.tobytes()
+
+    def test_power_is_the_repeated_product(self):
+        # at k = 7 binary powering (Polynomial.__pow__) rounds differently
+        num, _ = ExprParser("(0.3z - 1.7i)^7", None).parse()
+        one, z = Polynomial([1.0]), Polynomial([0.0, 1.0])
+        base = (Polynomial([0.3]) * z) * one - Polynomial([1.7j]) * (one * one)
+        want = one
+        for _ in range(7):
+            want = want * base
+        assert num.coeffs.tobytes() == want.coeffs.tobytes() != (base ** 7).coeffs.tobytes()
 
     @given(z=finite_complex(6.0))
     def test_step_matches_polynomial_evaluation(self, z):

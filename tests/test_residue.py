@@ -150,6 +150,30 @@ class TestParabolicResidue:
         assert len(calls) == 1
         assert est.value == with_inv.value and est.error_bar == with_inv.error_bar
 
+    def test_one_fatou_model_per_estimate(self, monkeypatch):
+        # the default R grid has five regions, all in one model of V(R)
+        built = []
+        init = FatouBoxModel.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FatouBoxModel, "__init__", counted)
+        est = dynamical_residue(parse_map("z + z^2"), FormDensity.parse("(1 + z)/z^2"))
+        assert len(est.parameter_trace) == 5 and len(built) == 1
+
+    @pytest.mark.parametrize("expr", ["2*z", "z + z^2"])
+    def test_unknown_kind_computes_no_region(self, monkeypatch, expr):
+        def region(*args):
+            raise AssertionError("a region was computed")
+
+        monkeypatch.setattr(residue, "disc_residue", region)
+        monkeypatch.setattr(FatouBoxModel, "__init__", region)
+        monkeypatch.setattr(FatouBoxModel, "residue", region)
+        with pytest.raises(ResidueError, match="unknown region kind 'square'"):
+            dynamical_residue(parse_map(expr), FormDensity.parse("1/z"), kind="square")
+
 
 def cubic_parabolic(a):
     """z + z^2 + a z^3 (nu = 1 - a), its parabolic package at 0 and the

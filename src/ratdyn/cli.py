@@ -26,7 +26,7 @@ from .ratmap import RationalMap, SpherePoint, parse_map
 from .residue import QUAD_BUDGET, FormDensity, dynamical_residue, trace_csv_rows
 
 # every ratdyn input error (ParseError, MapError, CycleError, ParabolicError,
-# ResidueError, CountError) is a ValueError
+# ResidueError, CountError, KernelError, SeriesError) is a ValueError
 INPUT_ERRORS = (ValueError, OSError, KeyError)
 
 

@@ -36,7 +36,8 @@ FLOAT_TOL = 1e-9
 def load_corpus(path=None):
     """The corpus entries as a list of dicts (packaged data by default)."""
     if path is None:
-        text = resources.files("ratdyn.data").joinpath("corpus.json").read_text()
+        # by this package's own name, so that a renamed copy reads its own data
+        text = resources.files(__package__ + ".data").joinpath("corpus.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()

@@ -97,16 +97,20 @@ def jet_e1_series(g_order_M, N, pad=None):
     M = N + pad
     if g_order_M.order < M:
         raise ValueError(f"series order {g_order_M.order} below required {M}")
-    a_n = _jet_matrix(g_order_M, N)
-    _, _, coker = rank_nullity(_colnorm(a_n))
     a_m = _jet_matrix(g_order_M, M)
-    null = nullspace(_colnorm(a_m))
+    return _dims(a_m, nullspace(_colnorm(a_m)), N)
+
+
+def _dims(a_m, null, n):
+    """(kernel_dim, cokernel_dim) at order n <= M from the deep matrix A_M and
+    its null space.  The leading (n+1) x (n+1) block of A_M is A_n (jets of
+    order n only see coefficients up to n); it is column-scaled on its own,
+    since the scales of the full matrix's columns differ from the block's."""
+    _, _, coker = rank_nullity(_colnorm(a_m[: n + 1, : n + 1]))
     if null.shape[1] == 0:
-        ker = 0
-    else:
-        # dimension of the image of the deep nullspace inside order-N jets
-        ker = rank_nullity(null[: N + 1, :])[0]
-    return ker, coker
+        return 0, coker
+    # dimension of the image of the deep nullspace inside order-n jets
+    return rank_nullity(null[: n + 1, :])[0], coker
 
 
 def jet_e1(f: RationalMap, spec: JetSpec, r=1):
@@ -123,10 +127,9 @@ def jet_e1(f: RationalMap, spec: JetSpec, r=1):
     pad = max(N, 4)
     M = N + pad
     g = local_return_series(f, spec.point, spec.period * r, M + 2)
-    ker, coker = jet_e1_series(g, N, pad)
-    if N >= 2:
-        ker_prev, coker_prev = jet_e1_series(g, N - 1, pad + 1)
-        stabilized = (ker, coker) == (ker_prev, coker_prev)
-    else:
-        stabilized = False
+    # one deep matrix serves order N and, for the stabilization flag, N - 1
+    a_m = _jet_matrix(g, M)
+    null = nullspace(_colnorm(a_m))
+    ker, coker = _dims(a_m, null, N)
+    stabilized = N >= 2 and (ker, coker) == _dims(a_m, null, N - 1)
     return ker, coker, stabilized

@@ -15,8 +15,8 @@ ALGEBRAIC_TOL = 1e-9
 TRIM_TOL = 1e-12
 
 
-class KernelError(Exception):
-    """Base class for numeric-kernel failures."""
+class KernelError(ValueError):
+    """Base class for numeric-kernel failures (an input the kernel cannot solve)."""
 
 
 class ZeroPolynomialError(KernelError):
@@ -24,11 +24,7 @@ class ZeroPolynomialError(KernelError):
 
 
 class RootFindingError(KernelError):
-    """Root iteration did not converge; carries the best iterate found."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Root iteration did not converge."""
 
 
 class Polynomial:
@@ -77,9 +73,6 @@ class Polynomial:
             and bool(np.all(self.coeffs == other.coeffs))
         )
 
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
         other = _as_poly(other)
@@ -96,9 +89,6 @@ class Polynomial:
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -247,20 +237,18 @@ def poly_roots(p):
             z = np.where(mask, z - pz / np.where(mask, dpz, 1), z)
         if not np.all(np.isfinite(z)):
             raise RootFindingError(
-                f"{int(np.sum(~np.isfinite(z)))} of {n} root iterates are not finite", best=z
-            )
+                f"{int(np.sum(~np.isfinite(z)))} of {n} root iterates are not finite")
         found = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, scale, x, k))
         zr = np.array([r for r, _ in found], dtype=complex)
         res = np.abs(q(zr))
     if not np.all(np.isfinite(res)):
-        raise RootFindingError("root residual is not finite", best=z)
+        raise RootFindingError("root residual is not finite")
     bound = ALGEBRAIC_TOL * scale * np.maximum(1.0, np.abs(zr)) ** n
     if np.any(res > bound):
         worst = float(np.max(res / np.maximum(bound, 1e-300)))
         raise RootFindingError(
             f"root residual exceeds tolerance by factor {worst:.3e}"
-            + ("" if ok else " (iteration stalled)"),
-            best=z,
+            + ("" if ok else " (iteration stalled)")
         )
     return by_position(roots + found)
 

@@ -3,16 +3,18 @@
 Each critical point is iterated within a budget and matched against a
 battery of detectors, in order:
 
-1. exact landing: the orbit revisits an earlier point (within snap
-   tolerance), so the forward orbit is a finite set -> Bounded;
+1. landing: the orbit revisits an earlier snap cell at step prev, loop
+   steps later.  Its target is the cycle with a point within ``SNAP_TOL``
+   of the iterate; failing that, the cycle of the nearest cycle point if
+   that cycle attracts with multiplier λ, the point lies within
+   √2·SNAP_TOL/(1 − |λ|) (two returns one cell apart, contracted by |λ|:
+   Koenigs linearization, Milnor §8) and the period divides loop.  Tame
+   when the target attracts and prev > 0, else Bounded;
 2. petal convergence: the normalized local coordinate at a parabolic
    cycle stays in an attracting sector with decreasing modulus for a
    dwell of consecutive returns -> Tame (parabolic attraction is
-   polynomial-rate, so this runs before the geometric detector);
-3. geometric convergence: distance to an attracting or superattracting
-   cycle decreases for 20 consecutive iterations and ends below 1e-6
-   -> Tame;
-4. region dwell: the orbit stays inside an annotated invariant disc or
+   polynomial-rate, far slower than a landing);
+3. region dwell: the orbit stays inside an annotated invariant disc or
    annulus (Siegel / Herman data) for 1000 consecutive iterations ->
    Tame targeting that region.
 
@@ -22,14 +24,14 @@ within budget"), reported with the budget and closing orbit statistics.
 The orbit is stepped in blocks of iterates, one call of the map's orbit
 kernel (``RationalMap.iterate``) per block, and each detector scans a
 whole block at once, its run counters carried from block to block.  A
-block is one ``ratmap.raw_array``: the snap keys, the local coordinates
-of the petal and region detectors and the distances of the geometric one
-are ``ratmap``'s array rules on it, which round as the scalar ones.  The
-earliest iterate at which any detector fires decides; on a tie the order
-above decides (landing, petal, geometric in cycle order, region dwell in
-region order), so the result is the one-iterate-at-a-time loop's
-whatever the block size.  A ``MapError`` raised by a step past that
-iterate is dropped: the one-at-a-time loop never takes that step.
+block is one ``ratmap.raw_array``: the snap keys and the local
+coordinates of the petal and region detectors are ``ratmap``'s array
+rules on it, which round as the scalar ones.  The earliest iterate at
+which any detector fires decides; on a tie the order above decides
+(landing, petal, region dwell in region order), so the result is the
+one-iterate-at-a-time loop's whatever the block size.  A ``MapError``
+raised by a step past that iterate is dropped: the one-at-a-time loop
+never takes that step.
 
 The landing detector sorts each block's snap keys once and merges them
 with the orbit's sorted key set; two equal adjacent keys in the merge
@@ -63,8 +65,9 @@ from .ratmap import (
     RationalMap,
     SpherePoint,
     _as_point,
+    SNAP_TOL,
     chart_coords,
-    distances,
+    distance,
     local_coord,
     local_coords,
     moduli,
@@ -73,8 +76,6 @@ from .ratmap import (
 )
 
 DEFAULT_BUDGET = 100_000
-GEOMETRIC_RUN = 20
-GEOMETRIC_FINAL = 1e-6
 PETAL_RUN = 50
 DWELL_RUN = 1000
 _BLOCK_FIRST = 64  # iterates in the first block; each next block doubles,
@@ -270,11 +271,6 @@ class _OrbitTracker:
             for i, c in enumerate(cycles)
             if c.cls in PARABOLIC_CLASSES and c.parabolic is not None
         ]
-        self.sinks = [
-            (i, [q.value for q in c.points])
-            for i, c in enumerate(cycles)
-            if c.cls in (CLASS_ATTRACTING, CLASS_SUPER)
-        ]
 
     def run(self, start: SpherePoint):
         """Classify the orbit of start; "keys" holds its snap keys, sorted."""
@@ -282,7 +278,6 @@ class _OrbitTracker:
         keys = np.empty(0, dtype=np.int64)  # seen snap keys, sorted
         past = []  # snap keys of the earlier blocks, in step order
         petal = [(0, np.inf)] * len(self.petals)  # run, previous |x|
-        geo = [(0, np.inf)] * len(self.sinks)  # run, previous distance
         dwell = [0] * len(self.regions)
         z, base, size = start.value, 0, _BLOCK_FIRST
         while base <= self.budget:
@@ -304,8 +299,9 @@ class _OrbitTracker:
             # raised the pipeline's peak RSS by about 2 MB (heap fragmentation)
             if _repeats(merged).any():
                 k, prev = _first_revisit(bkeys, keys, past, base)
-                fired.append((k, KIND_BOUNDED, self._landing_cycle(block[k]),
-                              {"preperiod": prev, "loop": base + k - prev}))
+                loop = base + k - prev
+                fired.append((k, *self._landing(block[k], prev, loop),
+                              {"preperiod": prev, "loop": loop}))
             # parabolic petal detector: a scalar pass over the iterates near z0
             for j, (i, inv, z0) in enumerate(self.petals):
                 run, prev_ax = petal[j]
@@ -318,18 +314,6 @@ class _OrbitTracker:
                         fired.append((int(k), KIND_TAME, f"C{i}", {"|x|": ax}))
                         break
                 petal[j] = run, prev_ax
-            # geometric convergence detector
-            for j, (i, points) in enumerate(self.sinks):
-                dist = distances(zs, points[0])
-                for q in points[1:]:
-                    dq = distances(zs, q)
-                    dist = np.where(dq < dist, dq, dist)
-                run = _runs(dist < np.append(geo[j][1], dist[:-1]), geo[j][0])
-                hit = np.flatnonzero((run >= GEOMETRIC_RUN) & (dist < GEOMETRIC_FINAL))
-                if hit.size:
-                    k = int(hit[0])
-                    fired.append((k, KIND_TAME, f"C{i}", {"distance": float(dist[k])}))
-                geo[j] = int(run[-1]), dist[-1]
             # annotated-region dwell detector
             for j, r in enumerate(self.regions):
                 run = _runs(r.contains_each(zs), dwell[j])
@@ -356,12 +340,23 @@ class _OrbitTracker:
                 "stats": {"budget": self.budget, "last_chart": chart,
                           "last_point": [coord.real, coord.imag]}}
 
-    def _landing_cycle(self, z):
-        pt = SpherePoint(z)
-        for i, c in enumerate(self.cycles):
-            if c.contains(pt):
-                return f"C{i}"
-        return ""
+    def _landing(self, z, prev, loop):
+        """(kind, target) of an orbit whose iterate z revisits the snap cell
+        of step prev after loop steps: the landing rule of the module
+        docstring."""
+        sinks = (CLASS_ATTRACTING, CLASS_SUPER)
+        dist = [min(distance(z, q.value) for q in c.points) for c in self.cycles]
+        i = next((i for i, d in enumerate(dist) if d <= SNAP_TOL), None)
+        if i is None and dist:
+            j = int(np.argmin(dist))
+            c = self.cycles[j]
+            if (c.cls in sinks and loop % c.period == 0
+                    and dist[j] <= 2**0.5 * SNAP_TOL / (1 - abs(c.multiplier))):
+                i = j
+        if i is None:
+            return KIND_BOUNDED, ""
+        tame = self.cycles[i].cls in sinks and prev > 0
+        return (KIND_TAME if tame else KIND_BOUNDED), f"C{i}"
 
 
 def classify_tails(f: RationalMap, cycles, annotations=(), budget=DEFAULT_BUDGET):

@@ -64,13 +64,11 @@ class ParabolicInvariants:
         e_loc + 1); for the underlying map this is r * (petals per cycle).
     nu: the iterative residue of g.
     index: holomorphic fixed-point index of g, from the same series as nu.
-    tangency_coeff: leading coefficient a of g(z) - z.
     attracting_angles / repelling_angles: local directions at the cycle
         point, in the local coordinate u = z - z0 (u = 1/z at infinity).
     normal_series: truncated series of the normalizing coordinate x(z)
-        (x = a^{1/e_loc} z + ..., bringing the invariant differential to
-        (1 + nu x^m)/x^{m+1} dx).
-    g_series: truncated series of the first return in the local coordinate.
+        (x = a^{1/e_loc} z + ..., a the leading coefficient of g(z) - z,
+        bringing the invariant differential to (1 + nu x^m)/x^{m+1} dx).
     """
 
     z0: SpherePoint
@@ -79,11 +77,9 @@ class ParabolicInvariants:
     e_loc: int
     nu: complex
     index: complex
-    tangency_coeff: complex
     attracting_angles: list = field(default_factory=list)
     repelling_angles: list = field(default_factory=list)
     normal_series: TruncatedSeries | None = None
-    g_series: TruncatedSeries | None = None
 
     def to_json(self):
         return {
@@ -234,11 +230,9 @@ def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
         e_loc=m,
         nu=nu,
         index=index,
-        tangency_coeff=a,
         attracting_angles=sorted(attract),
         repelling_angles=sorted(repel),
         normal_series=xser,
-        g_series=g,
     )
 
 

@@ -449,9 +449,6 @@ class RationalMap:
         """f(z) as a SpherePoint, computed in the stable chart (see ``step``)."""
         return SpherePoint(self.step(_as_point(z).value))
 
-    def __call__(self, z):
-        return self.evaluate(z)
-
     def iterate_jets(self, x, y, n):
         """The n-th homogeneous iterate of the Taylor jets (x : y) (orders
         on axis 0, never written to), divided by max(|x_0|, |y_0|) after

@@ -14,7 +14,7 @@ import numpy as np
 from .kernel import horner
 
 
-class SeriesError(Exception):
+class SeriesError(ValueError):
     pass
 
 
@@ -78,9 +78,6 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -173,6 +173,22 @@ class TestCriterion7BasinAudit:
                 ]
                 assert len(tame) == e_cycle
 
+    @pytest.mark.parametrize("mu,period", [
+        (0.3, 1), (0.6j, 1), (0.9 * np.exp(1j), 1),
+        (0.3j, 2), (0.6, 2), (0.9 * np.exp(2.5j), 2),
+    ])
+    def test_attracting_cycle_gets_a_tame_tail(self, mu, period):
+        # z^2 + c with an attracting fixed point (multiplier mu at c = mu/2 - mu^2/4)
+        # or 2-cycle (multiplier 4(1 + c)): the orbit of 0 is Tame to that cycle
+        c = mu / 2 - mu**2 / 4 if period == 1 else mu / 4 - 1
+        f = parse_map("z^2 + c", {"c": c})
+        run = run_pipeline(f, (), 2, 100_000)
+        (i,) = [i for i, cy in enumerate(run.cycles) if cy.cls == "Attracting"]
+        assert run.cycles[i].period == period
+        assert abs(run.cycles[i].multiplier - mu) < 1e-9
+        (tail,) = [t for t in run.tails if t.members[0][0].value == 0]
+        assert (tail.classification, tail.target) == (KIND_TAME, f"C{i}")
+
 
 class TestCriterion8RepellingParabolicConsistency:
     def test_full_tame_ram_implies_positive_residue(self):

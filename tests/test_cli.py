@@ -79,6 +79,15 @@ class TestParse:
         assert json.loads(err) == {
             "error": "ValueError", "message": "non-finite polynomial coefficient"}
 
+    @pytest.mark.parametrize("expr,n", [("z^40 + (z-1)^39", 39), ("(z-1)^25/(z+1)^24", 48)])
+    def test_unsolvable_critical_points_write_one_error_object(self, expr, n):
+        # Aberth's iterates overflow on the Wronskian: a kernel error is an input error
+        code, out, err = run_cli_process("parse", "--map", expr)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "RootFindingError", "message": f"{n} of {n} root iterates are not finite"}
+
 
 class TestPipelines:
     def test_cycles(self, capsys):

@@ -1,7 +1,11 @@
 """The packaged corpus: expectations, determinism, and the checker itself."""
 
 import copy
+import importlib
 import json
+import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +80,26 @@ def test_name_filter(corpus):
     res = corpus_run(corpus, names=["petal-one"])
     assert [e["name"] for e in res["entries"]] == ["petal-one"]
     assert res["all_passed"]
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ratdyn"
+
+
+def test_packaged_corpus_is_the_data_file():
+    obj = json.loads((PACKAGE / "data" / "corpus.json").read_text())
+    assert load_corpus() == obj["entries"]
+
+
+def test_a_renamed_copy_reads_its_own_data(tmp_path, monkeypatch):
+    # a second copy of the package under another name (an A/B harness) must
+    # not read the installed package's data
+    shutil.copytree(PACKAGE, tmp_path / "ratdyn_copy",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "ratdyn_copy" / "data" / "corpus.json").write_text(
+        json.dumps({"entries": [{"name": "only"}]}))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        assert importlib.import_module("ratdyn_copy.corpus").load_corpus() == [{"name": "only"}]
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "ratdyn_copy"]:
+            del sys.modules[name]

@@ -5,11 +5,16 @@ import pytest
 
 from ratdyn import orbits
 from ratdyn.corpus import load_corpus
-from ratdyn.cycles import CLASS_SIEGEL, Annotation, analyze_cycles, load_annotations
+from ratdyn.cycles import (
+    CLASS_ATTRACTING,
+    CLASS_SIEGEL,
+    CLASS_SUPER,
+    Annotation,
+    analyze_cycles,
+    load_annotations,
+)
 from ratdyn.orbits import (
     DWELL_RUN,
-    GEOMETRIC_FINAL,
-    GEOMETRIC_RUN,
     KIND_BOUNDED,
     KIND_TAME,
     KIND_WILD,
@@ -124,6 +129,46 @@ class TestClassification:
         assert len(tails) == 1
         assert tails[0].classification == KIND_BOUNDED
         assert split.ram_b.total == 6
+
+
+# z^2 + c near the cardioid's cusp (1/4 - d), its 1/2 bulb (-3/4 ± d) and
+# its center (d): an attracting fixed point, or a 2-cycle below -3/4
+ATTRACTING_SLICES = [c for k in range(2, 7) for c in (
+    0.25 - 10.0**-k, -0.75 + 10.0**-k, -0.75 - 10.0**-k, 10.0**-k)]
+
+
+class TestLanding:
+    @pytest.mark.parametrize("c", ATTRACTING_SLICES)
+    def test_converging_orbit_is_tame_to_the_attracting_cycle(self, c):
+        _, cycles, tails, _ = pipeline("z^2 + c", {"c": c}, budget=100_000)
+        t = tail_of(tails, 0.0)
+        assert t.classification == KIND_TAME
+        cycle = cycles[int(t.target[1:])]
+        assert (cycle.cls, cycle.period) == ("Attracting", 2 if c < -0.75 else 1)
+        assert t.final_stats["loop"] % cycle.period == 0
+
+    def test_landing_radius_and_period(self):
+        # c = -0.76: an attracting 2-cycle of multiplier 4(1 + c) = 0.96, so
+        # two returns one snap cell apart lie within √2·SNAP_TOL/0.04 of it
+        f, cycles, _, _ = pipeline("z^2 + c", {"c": -0.76})
+        (i,) = [i for i, c in enumerate(cycles) if c.cls == "Attracting"]
+        radius = np.sqrt(2) * SNAP_TOL / (1 - abs(cycles[i].multiplier))
+        q = cycles[i].points[0].value
+        landing = _OrbitTracker(f, cycles, [], 100)._landing
+        assert landing(q + 0.9 * radius, 7, 4) == (KIND_TAME, f"C{i}")
+        assert landing(q + 1.1 * radius, 7, 4) == (KIND_BOUNDED, "")
+        # an odd loop cannot close near a 2-cycle, unless the iterate is on it
+        assert landing(q + 0.9 * radius, 7, 3) == (KIND_BOUNDED, "")
+        assert landing(q + 0.5 * SNAP_TOL, 7, 3) == (KIND_TAME, f"C{i}")
+        # a critical point that is itself a cycle point
+        assert landing(q, 0, 2) == (KIND_BOUNDED, f"C{i}")
+
+    def test_landing_far_from_every_cycle_stays_bounded(self):
+        # the orbit of ∞ revisits a snap cell after 2408 steps, with loop
+        # 1033, and no attracting cycle point lies within the landing radius
+        _, _, tails, _ = pipeline("(z^2 + 0.5)/(z^2 - 2)", budget=100_000)
+        t = tail_of(tails, "inf")
+        assert (t.classification, t.target) == (KIND_BOUNDED, "")
 
 
 class TestSplitConservation:
@@ -259,6 +304,25 @@ def _scalar_key(z):
     return (chart, round(c.real / SNAP_TOL), round(c.imag / SNAP_TOL))
 
 
+def landing_rule(cycles, z, prev, loop):
+    """(kind, target) of a landing, written out over (distance, cycle) pairs."""
+    sinks = (CLASS_ATTRACTING, CLASS_SUPER)
+    near = sorted((distance(z, q.value), i) for i, c in enumerate(cycles) for q in c.points)
+    within = [i for d, i in near if d <= SNAP_TOL]
+    target = min(within) if within else None
+    if target is None and near:
+        d, i = near[0]
+        c = cycles[i]
+        radius = np.sqrt(2) * SNAP_TOL / (1 - abs(c.multiplier))
+        if c.cls in sinks and d <= radius and loop % c.period == 0:
+            target = i
+    if target is None:
+        return KIND_BOUNDED, ""
+    if cycles[target].cls in sinks and prev > 0:
+        return KIND_TAME, f"C{target}"
+    return KIND_BOUNDED, f"C{target}"
+
+
 def scalar_run(tracker, start):
     """The per-step detector loop, one iterate at a time: the oracle."""
     step = tracker.f.step
@@ -268,8 +332,6 @@ def scalar_run(tracker, start):
         return {"kind": kind, "target": target, "steps": steps,
                 "keys": set(seen), "stats": stats}
 
-    geo_run = {i: 0 for i, _ in tracker.sinks}
-    geo_prev = {i: np.inf for i, _ in tracker.sinks}
     petal_run, petal_prev = {}, {}
     dwell_run = {r.id: 0 for r in tracker.regions}
     z = start.value
@@ -279,7 +341,7 @@ def scalar_run(tracker, start):
         key = _scalar_key(z)
         prev = seen.get(key)
         if prev is not None:
-            return result(KIND_BOUNDED, tracker._landing_cycle(z), n,
+            return result(*landing_rule(tracker.cycles, z, prev, n - prev), n,
                           {"preperiod": prev, "loop": n - prev})
         seen[key] = n
         for i, inv, z0 in tracker.petals:
@@ -294,12 +356,6 @@ def scalar_run(tracker, start):
                 petal_prev[i] = ax if ok else np.inf
                 if petal_run[i] >= PETAL_RUN:
                     return result(KIND_TAME, f"C{i}", n, {"|x|": ax})
-        for i, points in tracker.sinks:
-            dist = min([distance(z, q) for q in points])
-            geo_run[i] = geo_run[i] + 1 if dist < geo_prev[i] else 0
-            geo_prev[i] = dist
-            if geo_run[i] >= GEOMETRIC_RUN and dist < GEOMETRIC_FINAL:
-                return result(KIND_TAME, f"C{i}", n, {"distance": dist})
         for r in tracker.regions:
             if r.contains(z):
                 dwell_run[r.id] += 1
@@ -429,13 +485,13 @@ class TestBlockTracker:
             for t in block_tails(f, cycles, anns, BUDGETS[-1]):
                 decided.add((t[0], next(iter(t[3]))))
         assert decided == {(KIND_BOUNDED, "preperiod"), (KIND_TAME, "|x|"),
-                           (KIND_TAME, "distance"), (KIND_TAME, "dwell"),
+                           (KIND_TAME, "preperiod"), (KIND_TAME, "dwell"),
                            (KIND_WILD, "budget")}
 
     @pytest.mark.parametrize("expr,critical", [
         ("z^2 - 1", 0.0),  # revisit at step 2
         ("z + z^3", 1j / np.sqrt(3)),  # petal
-        ("z^2 - 1/2", 0.0),  # geometric
+        ("z^2 - 1/2", 0.0),  # a landing near the attracting fixed point: Tame
     ])
     def test_earlier_detector_wins_a_tie(self, monkeypatch, expr, critical):
         # the orbit stays in the annulus [0, 10] until it lands, so a dwell

@@ -34,9 +34,12 @@ Two region families are provided:
   pulls back to an arc along which Im Log t runs from -pi to pi.  s0 jumps
   by 2 pi i nu/m across the cut, so neighbouring arcs end at different
   radii on the repelling axis between them, and the cut segments joining
-  them are part of the boundary (of zero length when nu is real).  For a
-  fixed point with |multiplier| != 1 the model coordinate is the
-  linearizer and V(R) degenerates to the disc family with eps = |lambda|^(-R).
+  them are part of the boundary (of zero length when nu is real).  Each
+  node set is one array Newton solve of e^L - (nu/m) L = s for L = Log t
+  over the square, then one of normal_series(u) = x.
+  For a fixed point with |multiplier| != 1 the model coordinate is the
+  linearizer and V(R) degenerates to the disc family with eps =
+  |lambda|^(-R); a superattracting point (lambda = 0) has no such region.
 
 The residue itself is the limit over shrinking regions; it is estimated
 by linear (Richardson-style) extrapolation along the parameter trace.
@@ -48,7 +51,6 @@ two-petal maps, and against each other).
 
 from __future__ import annotations
 
-import cmath
 import functools
 from dataclasses import dataclass, field
 
@@ -268,13 +270,20 @@ class FatouBoxModel:
         if max(abs(ends[0].imag), abs(ends[-1].imag)) >= R:
             return None
         s, ds, w = _gauss_pieces(ends, n)
-        # L = Log t solves e^L - k L = s: Newton continuation along the square
-        L, cur = np.empty_like(s), complex(np.log(r_lo), -np.pi)
-        for i, si in enumerate(s):
-            for _ in range(8):
-                cur -= (cmath.exp(cur) - k * cur - si) / (cmath.exp(cur) - k)
-            L[i] = cur
-        if np.any(np.abs(np.exp(L) - k * L - s) > 1e-12 * np.abs(s)) or np.any(np.abs(L.imag) > np.pi):
+        # L = Log t solves e^L - k L = s: one Newton solve over all nodes from
+        # Log s, on the branch the arcs take from the cut (below it on the
+        # first piece, above it on the last), as |Im L| <= pi holds two roots there
+        L = np.log(s)
+        L[:n] -= 2j * np.pi * (L[:n].imag > 0)
+        L[-n:] += 2j * np.pi * (L[-n:].imag < 0)
+        for _ in range(20):
+            eL = np.exp(L)
+            step = (eL - k * L - s) / (eL - k)
+            L -= step
+            if np.all(np.abs(step) <= 1e-15 * np.abs(L)):
+                break
+        eL = np.exp(L)
+        if np.any(np.abs(eL - k * L - s) > 1e-12 * np.abs(s)) or np.any(np.abs(L.imag) > np.pi):
             return None
         # sector j's arc runs clockwise in x from arg 2 pi (j+1)/m to 2 pi j/m;
         # the cut segment on that repelling axis joins it to the next arc
@@ -282,13 +291,16 @@ class FatouBoxModel:
         pieces = []
         for j in reversed(range(m)):
             x = np.exp((-np.log(m) - L + 1j * np.pi * (1 + 2 * j)) / m)
-            pieces += [(x, -x / m * ds / (np.exp(L) - k), w),
+            pieces += [(x, -x / m * ds / (eL - k), w),
                        _gauss_pieces(np.exp(2j * np.pi * j / m) * np.array([a, b]), n)]
         x, dx, w = (np.concatenate(c)[::-1] for c in zip(*pieces))
         # u = z - z0 solves normal_series(u) = x: Newton from the reverted series
         u = self.xinv(x)
         for _ in range(10):
-            u = u - (self.xser(u) - x) / self.dxser(u)
+            step = (self.xser(u) - x) / self.dxser(u)
+            u = u - step
+            if np.all(np.abs(step) <= 1e-15 * np.abs(u)):
+                break
         if not np.all(np.abs(self.xser(u) - x) <= 1e-12 * np.abs(x)):
             return None
         return u, -dx / self.dxser(u), w
@@ -332,6 +344,9 @@ def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
     elif (mod := _linearizable(f, center)) is not None:
         # linearizable point: the model region is the eps = |lambda|^-R disc,
         # and the grid keeps eps above the rounding level of the point
+        if mod <= UNITY_TOL:
+            raise ResidueError(f"center {_as_point(center)!r} is superattracting: "
+                               "the fatou family has no model region there")
         default = [5.0, 6.0, 8.0, 10.0, 12.0]
         sample = lambda R, budget: disc_residue(f, mu, center, min(mod, 1.0 / mod) ** R, budget)
     else:

@@ -221,6 +221,18 @@ class TestPipelines:
         assert json.loads(err)["error"] == "ResidueError"
 
     @pytest.mark.parametrize("argv", [
+        ("--map", "z^2", "--form", "1/z"),
+        ("--map", "z^2+z^3", "--form", "1/z"),
+        ("--map", "z+z^3", "--form", "(1+1.5*z^2)/z^3", "--center", "inf"),
+    ])
+    def test_residue_fatou_at_superattracting_center_exits_2(self, argv):
+        code, out, err = run_cli_process("residue", *argv, "--family", "fatou")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        obj = json.loads(err)
+        assert obj["error"] == "ResidueError" and "superattracting" in obj["message"]
+
+    @pytest.mark.parametrize("argv", [
         ("--seed", "1", "parse", "--map", "z^2"),
         ("residue", "--map", "2*z", "--form", "1/z", "--qmc"),
         ("ext", "--map", "z + z^2", "--point", "0", "--two-jets"),

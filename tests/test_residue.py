@@ -1,5 +1,9 @@
 """Numerical dynamical residues: boundary integral, extrapolation, reliability flags."""
 
+import cmath
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +83,21 @@ class TestLinearizableResidue:
         with pytest.raises(ResidueError, match="not a fixed point"):
             dynamical_residue(parse_map(expr), FormDensity.parse("1/z"), kind=kind,
                               center=center)
+
+    @pytest.mark.parametrize("expr,center", [("z^2", 0.0), ("z^2 + z^3", 0.0),
+                                             ("z + z^3", SpherePoint.infinity())])
+    def test_superattracting_center_rejected_by_fatou_family(self, monkeypatch, expr, center):
+        # |lambda| = 0 has no model disc |lambda|^R; the disc family still
+        # reports that none of its regions could be traced
+        def region(*args):
+            raise AssertionError("a region was computed")
+
+        f, mu = parse_map(expr), FormDensity.parse("1/z")
+        with pytest.raises(ResidueError, match="no region of the family"):
+            dynamical_residue(f, mu, kind="disc", center=center)
+        monkeypatch.setattr(residue, "disc_residue", region)
+        with pytest.raises(ResidueError, match="superattracting"):
+            dynamical_residue(f, mu, kind="fatou", center=center)
 
     def test_single_region_matches_limit(self):
         f = parse_map("2*z")
@@ -279,3 +298,102 @@ class TestLocalCoordinate:
                                     FormDensity.parse("(1 + z)/z^2"), kind="fatou", center=0.0)
         assert at_inf.reliable
         assert abs(at_inf.value - at_zero.value) < 1e-12
+
+
+def scalar_boundary(model, R, n):
+    """FatouBoxModel.boundary as a scalar continuation: L = Log t node by
+    node, 8 Newton steps from the previous node's root starting at the
+    cut, then 10 Newton steps for u.  The oracle of the array solve."""
+    m, k = model.m, model.nu / model.m
+    r_lo, r_hi = (residue._cut_radius(R + sign * np.pi * k.imag, k.real) for sign in (-1, 1))
+    if r_lo is None or r_hi is None:
+        return None
+    ends = [-r_lo - k * complex(np.log(r_lo), -np.pi), -R - 1j * R, R - 1j * R,
+            R + 1j * R, -R + 1j * R, -r_hi - k * complex(np.log(r_hi), np.pi)]
+    if max(abs(ends[0].imag), abs(ends[-1].imag)) >= R:
+        return None
+    s, ds, w = residue._gauss_pieces(ends, n)
+    L, cur = np.empty_like(s), complex(np.log(r_lo), -np.pi)
+    for i, si in enumerate(s):
+        for _ in range(8):
+            cur -= (cmath.exp(cur) - k * cur - si) / (cmath.exp(cur) - k)
+        L[i] = cur
+    if np.any(np.abs(np.exp(L) - k * L - s) > 1e-12 * np.abs(s)) or np.any(np.abs(L.imag) > np.pi):
+        return None
+    a, b = (m * r_hi) ** (-1.0 / m), (m * r_lo) ** (-1.0 / m)
+    pieces = []
+    for j in reversed(range(m)):
+        x = np.exp((-np.log(m) - L + 1j * np.pi * (1 + 2 * j)) / m)
+        pieces += [(x, -x / m * ds / (np.exp(L) - k), w),
+                   residue._gauss_pieces(np.exp(2j * np.pi * j / m) * np.array([a, b]), n)]
+    x, dx, w = (np.concatenate(c)[::-1] for c in zip(*pieces))
+    u = model.xinv(x)
+    for _ in range(10):
+        u = u - (model.xser(u) - x) / model.dxser(u)
+    if not np.all(np.abs(model.xser(u) - x) <= 1e-12 * np.abs(x)):
+        return None
+    return u, -dx / model.dxser(u), w
+
+
+class TestArrayTrace:
+    """The array Newton solves of FatouBoxModel.boundary against the scalar
+    continuation, on z + z^(m+1) + a z^(2m+1) (nu = (m+1)/2 - a)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [0, 1, 1.5, 6, -1 - 3j, 0.5 - 2j, -3 + 0.5j])
+    def test_boundary_matches_scalar_continuation(self, nu, m):
+        coeffs = [0, 1] + [0] * (m - 1) + [1] + [0] * (m - 1) + [(m + 1) / 2 - nu]
+        f = RationalMap(Polynomial(coeffs), Polynomial([1]))
+        inv = tangency_and_residu(f, 0.0, 1, 1)
+        assert inv.e_loc == m and abs(inv.nu - nu) < 1e-9
+        model = FatouBoxModel(f, inv)
+        for R in [20.0, 24.0, 32.0, 40.0, 48.0]:
+            for n in (16, 64):
+                got, want = model.boundary(R, n), scalar_boundary(model, R, n)
+                assert (got is None) == (want is None), (R, n)
+                for g, v in zip(got or (), want or ()):
+                    assert np.all(np.abs(g - v) <= 1e-13 * np.abs(v)), (R, n)
+
+
+# (name, map, form, family): the residue workload of perfbench, three cubics
+# z + z^2 + a z^3 with complex nu = 1 - a, and one whose regions all reach
+# beyond the normal series
+GUARD_CASES = [
+    ("disc-2z", "2*z", "1/z", "disc"),
+    ("disc-z/2", "z/2", "1/z", "disc"),
+    ("disc-3z+z^2", "3*z + z^2", "1/z", "disc"),
+    ("fatou-a0", "z + z^2 + 0*z^3", "(1 + 1*z)/z^2", "fatou"),
+    ("fatou-a1", "z + z^2 + 1*z^3", "(1 + 0*z)/z^2", "fatou"),
+    ("fatou-two-petal", "z + z^3", "(1 + 1.5*z^2)/z^3", "fatou"),
+    ("fatou-nu-(-1-3i)", "z + z^2 + (2+3i)*z^3", "(1 + (-1-3i)*z)/z^2", "fatou"),
+    ("fatou-nu-(0.5-2i)", "z + z^2 + (0.5+2i)*z^3", "(1 + (0.5-2i)*z)/z^2", "fatou"),
+    ("fatou-nu-(-3+0.5i)", "z + z^2 + (4-0.5i)*z^3", "(1 + (-3+0.5i)*z)/z^2", "fatou"),
+    ("fatou-untraceable", "z + z^2 + (-8-8i)*z^3", "(1 + (9+8i)*z)/z^2", "fatou"),
+]
+GUARD_FILE = Path(__file__).with_name("residue_guard.json")
+
+
+def guard_report(expr, form, kind):
+    """dynamical_residue's JSON report at 0, or its error."""
+    try:
+        return dynamical_residue(parse_map(expr), FormDensity.parse(form), kind=kind).to_json()
+    except ResidueError as exc:
+        return {"error": str(exc)}
+
+
+@pytest.mark.parametrize("name,expr,form,kind", GUARD_CASES)
+def test_residue_outputs_match_recorded(name, expr, form, kind):
+    # recorded with the scalar continuation (commit 402782b), by
+    # {name: guard_report(*case) for name, *case in GUARD_CASES}: the
+    # array solve moves values by rounding only and changes no decision
+    want, got = json.loads(GUARD_FILE.read_text())[name], guard_report(expr, form, kind)
+    assert got.keys() == want.keys()
+    if "error" in want:
+        assert got == want
+        return
+    assert got["reliable"] == want["reliable"] and got["notes"] == want["notes"]
+    assert [p for p, _ in got["parameter_trace"]] == [p for p, _ in want["parameter_trace"]]
+    moved = [(got["value"], want["value"]), (got["error_bar"], want["error_bar"])]
+    moved += [(g, v) for (_, g), (_, v) in zip(got["parameter_trace"], want["parameter_trace"])]
+    for g, v in moved:
+        assert abs(g - v) <= 1e-11 * max(1.0, abs(v))

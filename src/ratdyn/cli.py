@@ -103,11 +103,13 @@ _ESCAPE_RADIUS = 1e6
 
 def write_escape_raster(f, path, size=256):
     """8-bit binary PPM escape-time image of the square |Re z|, |Im z| <= 2
-    (visual sanity only).
+    (visual sanity only); size is the side in pixels, at least 1.
 
     Grayscale level is the fraction of the _RASTER_ITER iterations spent
     before the orbit left the escape radius (black = never escaped).
     """
+    if size < 1:
+        raise ValueError(f"raster size must be >= 1, got {size}")
     xs = np.linspace(-2.0, 2.0, size)
     ys = np.linspace(2.0, -2.0, size)  # row-major: top row = max imag
     z = xs[None, :] + 1j * ys[:, None]
@@ -248,11 +250,12 @@ def _add_map_args(sp):
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
-def _add_pipeline_args(sp):
+def _add_pipeline_args(sp, budget=False):
     sp.add_argument("--annot", help="annotations JSON file")
     sp.add_argument("--max-period", type=int, default=3)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="orbit iteration budget per critical point")
+    if budget:
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="orbit iteration budget per critical point")
 
 
 def build_parser():
@@ -296,7 +299,7 @@ def build_parser():
 
     sp = sub.add_parser("tails", help="critical-orbit tails and marks")
     _add_map_args(sp)
-    _add_pipeline_args(sp)
+    _add_pipeline_args(sp, budget=True)
     sp.add_argument("--orbit-csv", help="also dump one orbit transcript CSV "
                     "(with --orbit-from)")
     sp.add_argument("--orbit-from", help="start point for the transcript (with --orbit-csv)")
@@ -315,7 +318,7 @@ def build_parser():
 
     sp = sub.add_parser("count", help="audit the counting inequalities")
     _add_map_args(sp)
-    _add_pipeline_args(sp)
+    _add_pipeline_args(sp, budget=True)
     sp.add_argument("--table", action="store_true",
                     help="human-readable table instead of JSON")
     sp.set_defaults(fn=_cmd_count)

@@ -324,6 +324,8 @@ def _divisors(p):
 
 def find_cycles(f: RationalMap, max_period):
     """All cycles of exact period <= max_period, sorted deterministically."""
+    if max_period < 1:
+        raise CycleError(f"max_period must be >= 1, got {max_period}")
     levels = {}  # period q -> raw values of the fixed points of f^q
     cycles = []
     pullback = _Pullback(f)

@@ -123,6 +123,9 @@ def jet_e1(f: RationalMap, spec: JetSpec, r=1):
     if spec.site == "global":
         _, ker, coker = global_e1(f)
         return ker, coker, True
+    if spec.period < 1 or r < 1 or spec.order < 0:
+        raise ValueError(f"jets need period >= 1, r >= 1 and order >= 0, got "
+                         f"{spec.period}, {r} and {spec.order}")
     N = spec.order
     pad = max(N, 4)
     M = N + pad

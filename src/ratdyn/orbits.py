@@ -10,10 +10,11 @@ battery of detectors, in order:
    √2·SNAP_TOL/(1 − |λ|) (two returns one cell apart, contracted by |λ|:
    Koenigs linearization, Milnor §8) and the period divides loop.  Tame
    when the target attracts and prev > 0, else Bounded;
-2. petal convergence: the normalized local coordinate at a parabolic
-   cycle stays in an attracting sector with decreasing modulus for a
-   dwell of consecutive returns -> Tame (parabolic attraction is
-   polynomial-rate, far slower than a landing);
+2. petal convergence: PETAL_RUN near returns (|u| < NORMAL_RADIUS about a
+   parabolic cycle point) in a row, each with x = normal_series(u) in an
+   attracting sector and 0 < |x| below the |x| of the near return before
+   it -> Tame (parabolic attraction is polynomial-rate, far slower than a
+   landing);
 3. region dwell: the orbit stays inside an annotated invariant disc or
    annulus (Siegel / Herman data) for 1000 consecutive iterations ->
    Tame targeting that region.
@@ -54,11 +55,12 @@ import numpy as np
 
 from .cycles import (
     CLASS_ATTRACTING,
+    CLASS_PARABOLIC_ATTR,
     CLASS_SUPER,
     CLASS_SIEGEL,
     PARABOLIC_CLASSES,
 )
-from .parabolic import petal_sector
+from .parabolic import NORMAL_RADIUS
 from .ratmap import (
     MapError,
     RamificationDivisor,
@@ -68,7 +70,6 @@ from .ratmap import (
     SNAP_TOL,
     chart_coords,
     distance,
-    local_coord,
     local_coords,
     moduli,
     raw_array,
@@ -277,7 +278,7 @@ class _OrbitTracker:
         iterate = self.f.iterate
         keys = np.empty(0, dtype=np.int64)  # seen snap keys, sorted
         past = []  # snap keys of the earlier blocks, in step order
-        petal = [(0, np.inf)] * len(self.petals)  # run, previous |x|
+        petal = [(0, np.inf)] * len(self.petals)  # run, |x| of the last near return
         dwell = [0] * len(self.regions)
         z, base, size = start.value, 0, _BLOCK_FIRST
         while base <= self.budget:
@@ -302,18 +303,20 @@ class _OrbitTracker:
                 loop = base + k - prev
                 fired.append((k, *self._landing(block[k], prev, loop),
                               {"preperiod": prev, "loop": loop}))
-            # parabolic petal detector: a scalar pass over the iterates near z0
+            # parabolic petal detector over the near returns (|u| < NORMAL_RADIUS)
             for j, (i, inv, z0) in enumerate(self.petals):
-                run, prev_ax = petal[j]
-                for k in np.flatnonzero(moduli(local_coords(zs, z0)) < 0.4):
-                    x = inv.normal_series(local_coord(block[k], z0))
-                    ax = abs(x)
-                    ok = 0 < ax < prev_ax and petal_sector(x, inv.e_loc) is not None
-                    run, prev_ax = (run + 1, ax) if ok else (0, np.inf)
-                    if run >= PETAL_RUN:
-                        fired.append((int(k), KIND_TAME, f"C{i}", {"|x|": ax}))
-                        break
-                petal[j] = run, prev_ax
+                u = local_coords(zs, z0)
+                near = np.flatnonzero(moduli(u) < NORMAL_RADIUS)
+                if near.size:
+                    x = inv.normal_series(u[near])
+                    ax = moduli(x)
+                    shrinks = (0 < ax) & (ax < np.concatenate(([petal[j][1]], ax[:-1])))
+                    run = _runs(shrinks & (inv.sectors(x) >= 0), petal[j][0])
+                    hit = np.flatnonzero(run >= PETAL_RUN)
+                    if hit.size:
+                        k = hit[0]
+                        fired.append((int(near[k]), KIND_TAME, f"C{i}", {"|x|": float(ax[k])}))
+                    petal[j] = int(run[-1]), float(ax[-1])
             # annotated-region dwell detector
             for j, r in enumerate(self.regions):
                 run = _runs(r.contains_each(zs), dwell[j])
@@ -361,6 +364,8 @@ class _OrbitTracker:
 
 def classify_tails(f: RationalMap, cycles, annotations=(), budget=DEFAULT_BUDGET):
     """(tails, RamSplit): classify each critical orbit and merge tails."""
+    if budget < 0:
+        raise ValueError(f"orbit budget must be >= 0, got {budget}")
     ram = f.critical_divisor()
     regions = regions_from_annotations(cycles, annotations)
     tracker = _OrbitTracker(f, cycles, regions, budget)
@@ -429,8 +434,8 @@ def epsilon_marks(split: RamSplit, regions):
 
 
 def delta_marks(cycles, split: RamSplit):
-    """Per parabolic cycle: 1 iff Re(nu) <= 0 and the tame ramification
-    attracted to the cycle (with multiplicity) equals the petal-orbit count.
+    """Per parabolic cycle: 1 iff it is ParabolicAttracting and the tame
+    ramification attracted to the cycle (with multiplicity) equals the petal-orbit count.
 
     The petal-orbit count is e_loc / r: the first return has e_loc petals
     which the cycle itself permutes in orbits of length r.
@@ -442,7 +447,7 @@ def delta_marks(cycles, split: RamSplit):
         div = split.tame_by_target.get(f"C{i}")
         tame_mult = div.total if div is not None else 0
         e_cycle = c.parabolic.e_loc // c.parabolic.r
-        out[f"C{i}"] = 1 if (c.parabolic.nu.real <= 0 and tame_mult == e_cycle) else 0
+        out[f"C{i}"] = 1 if (c.cls == CLASS_PARABOLIC_ATTR and tame_mult == e_cycle) else 0
     return out
 
 

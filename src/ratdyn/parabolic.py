@@ -21,8 +21,9 @@ A second forward substitution gives the normalizing coordinate x(z).
 The holomorphic fixed-point index (the residue of dz/(z - g(z))) is
 computed from the same series by a separate routine, so
 nu = (m+1)/2 - index checks the routines, not the series against the map.
-Approximate Fatou coordinates with Abel property s(g(z)) = s(z) + 1 are
-built from the same data.
+The local model (Leau-Fatou flower, Milnor §10), trusted for |u| < NORMAL_RADIUS,
+is the array rules ``ParabolicInvariants.s0`` (approximate Fatou coordinate) and
+``sectors`` (petal sector of x); the tail tracker and the Fatou boxes read them.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import TruncatedSeries
-from .ratmap import SNAP_TOL, RationalMap, SpherePoint, _as_point, distance, local_coord
+from .ratmap import (SNAP_TOL, RationalMap, SpherePoint, _as_point, distance, local_coords,
+                     moduli, raw_array)
 
 UNITY_TOL = 1e-8
 UNITY_HORIZON = 64
 FATOU_STEPS = 20  # returns of g taken by fatou_coordinate
 PETAL_SLACK = 1.02  # half-width of a petal sector, in units of pi/(2m)
+NORMAL_RADIUS = 0.4  # |u| within which the normalizing coordinate x is trusted
 
 
 class ParabolicError(ValueError):
@@ -80,6 +83,29 @@ class ParabolicInvariants:
     attracting_angles: list = field(default_factory=list)
     repelling_angles: list = field(default_factory=list)
     normal_series: TruncatedSeries | None = None
+
+    def s0(self, u):
+        """The approximate Fatou coordinate s0 = t - (nu/m) Log t, t = -1/(m x^m),
+        of the local coordinate u (x = normal_series(u), principal Log, so the
+        cut falls on the repelling axes); an array for an array u."""
+        m = self.e_loc
+        x = self.normal_series(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -1.0 / (m * x**m)
+            return t - (self.nu / m) * np.log(t)
+
+    def sectors(self, x):
+        """Index j of the attracting sector of each normalized coordinate x, or -1:
+        the arguments within PETAL_SLACK * pi/(2m) of the axis (pi + 2 pi j)/m.
+        x = 0 lies in none; the sectors are disjoint (PETAL_SLACK < 2)."""
+        m = self.e_loc
+        x = np.asarray(x, dtype=complex)
+        out = np.full(x.shape, -1)
+        for j in range(m):
+            theta = (np.pi + 2 * np.pi * j) / m
+            out[np.abs(np.angle(x * np.exp(-1j * theta))) <= PETAL_SLACK * np.pi / (2 * m)] = j
+        out[x == 0] = -1
+        return out
 
     def to_json(self):
         return {
@@ -239,48 +265,19 @@ def tangency_and_residu(f: RationalMap, z0, p, r, N=None):
 def fatou_coordinate(f: RationalMap, inv: ParabolicInvariants, z, petal_index=0):
     """Approximate incoming Fatou coordinate s(z) with s(f^{pr}(z)) = s(z) + 1.
 
-    Computed as lim_n [ s0(g^n(z)) - n ], taken at n = FATOU_STEPS, where
-    s0 = t - (nu/m) Log t, t = -1/(m x^m), x the normalizing coordinate;
-    the principal Log cut falls on the repelling axis of each petal.  z
-    must lie in the petal sector indexed by petal_index (attracting
-    directions sorted by angle).
+    Computed as lim_n [ s0(g^n(z)) - n ], taken at n = FATOU_STEPS, with s0
+    the package's ``ParabolicInvariants.s0``.  z must lie in the petal
+    sector indexed by petal_index (attracting directions sorted by angle),
+    and it and every return must lie within NORMAL_RADIUS of the point.
     """
-    m = inv.e_loc
-    zz = _as_point(z)
     steps = inv.p * inv.r
-    prev = None
-    for n in range(FATOU_STEPS + 1):
-        u = local_coord(zz.value, inv.z0.value)
-        if u is None or abs(u) > 0.8:
-            raise ParabolicError("point escaped the parabolic chart during iteration")
-        x = inv.normal_series(u)
-        if n == 0 and petal_sector(x, m) != petal_index:
-            raise ParabolicError("point is not in the requested petal sector")
-        s0 = _model_coordinate(x, m, inv.nu)
-        val = s0 - n
-        prev = val
-        for _ in range(steps):
-            zz = f.evaluate(zz)
-    return complex(prev)
-
-
-def petal_sector(x, m):
-    """Index j of the attracting sector of x, or None.
-
-    Sector j holds the arguments within PETAL_SLACK * pi/(2m) of the
-    attracting axis (pi + 2 pi j)/m; x = 0 lies in none.  The sectors are
-    disjoint (PETAL_SLACK < 2), so the index is unique.
-    """
-    if x == 0:
-        return None
-    for j in range(m):
-        theta = (np.pi + 2 * np.pi * j) / m
-        if abs(np.angle(x * np.exp(-1j * theta))) <= PETAL_SLACK * np.pi / (2 * m):
-            return j
-    return None
-
-
-def _model_coordinate(x, m, nu):
-    """s0 = t - (nu/m) Log t with t = -1/(m x^m) (principal branch)."""
-    t = -1.0 / (m * x**m)
-    return t - (nu / m) * np.log(t)
+    orbit = [_as_point(z).value]
+    f.iterate(orbit[0], FATOU_STEPS * steps, orbit)
+    u = local_coords(raw_array(orbit[::steps]), inv.z0.value)
+    near = moduli(u) < NORMAL_RADIUS
+    # the start's chart, then its sector, then the later returns
+    if near[0] and inv.sectors(inv.normal_series(u[:1]))[0] != petal_index:
+        raise ParabolicError("point is not in the requested petal sector")
+    if not near.all():
+        raise ParabolicError("point escaped the parabolic chart during iteration")
+    return complex(inv.s0(u[-1]) - FATOU_STEPS)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import Polynomial, horner_with_derivative
-from .parabolic import UNITY_TOL, ParabolicInvariants, _model_coordinate, tangency_and_residu
+from .parabolic import UNITY_TOL, ParabolicInvariants, tangency_and_residu
 from .parser import ExprParser
 from .ratmap import RationalMap, _as_point, local_pair
 
@@ -238,21 +238,14 @@ class FatouBoxModel:
     return u."""
 
     def __init__(self, f: RationalMap, inv: ParabolicInvariants):
-        self.z0 = inv.z0
+        self.inv = inv
         self.f = f.local_fraction(inv.z0, inv.z0)
-        self.m = inv.e_loc
-        self.nu = inv.nu
+        self.m, self.nu = inv.e_loc, inv.nu
         self.xser = inv.normal_series
         self.xinv, self.dxser = self.xser.reverse(), self.xser.derivative()
 
-    def s0(self, u):
-        """Approximate Fatou coordinate, principal log (cut on repelling axes)."""
-        x = self.xser(np.asarray(u, dtype=complex))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _model_coordinate(x, self.m, self.nu)
-
     def in_region(self, u, R):
-        s = self.s0(u)
+        s = self.inv.s0(u)
         val = np.maximum(np.abs(s.real), np.abs(s.imag))
         return np.where(np.isfinite(val), val, np.inf) > R
 
@@ -316,7 +309,7 @@ class FatouBoxModel:
 
     def residue(self, mu: FormDensity, R, budget=QUAD_BUDGET):
         """(Res^{V(R)}, converged) under the dynamics of f, for mu in z."""
-        mu = _local_density(mu, self.z0)
+        mu = _local_density(mu, self.inv.z0)
         return _refined(lambda n: self.boundary(R, n), self.f, mu, 16, budget)
 
 
@@ -330,10 +323,12 @@ def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
                       params=None, inv=None, budget=QUAD_BUDGET):
     """Extrapolated residue along a shrinking region family.
 
-    params: decreasing eps grid (disc) or increasing R grid (fatou).
+    params: decreasing eps grid (disc) or increasing R grid (fatou), all finite and > 0.
     inv: the parabolic package at center; computed once here when the
     fatou family needs it and none is given.
     """
+    if params is not None and not all(np.isfinite(p) and p > 0 for p in params):
+        raise ResidueError(f"family parameters must be finite and positive, got {list(params)}")
     if f.evaluate(center) != _as_point(center):
         raise ResidueError(f"center {_as_point(center)!r} is not a fixed point of f")
     if kind == "disc":

@@ -265,6 +265,37 @@ class TestPipelines:
         assert json.loads(err) == {"error": "CycleError", "message":
                                    "f^4 is the identity; periodic points are not isolated"}
 
+    @pytest.mark.parametrize("argv,error", [
+        (("ext", "--map", "z+z^2", "--point", "0", "--rot-order", "0"), "ValueError"),
+        (("ext", "--map", "z+z^2", "--point", "0", "--period", "0"), "ValueError"),
+        (("ext", "--map", "z+z^2", "--point", "0", "--jet-order", "-1"), "ValueError"),
+        (("tails", "--map", "z^2-1", "--budget", "-1"), "ValueError"),
+        (("count", "--map", "z^2+0.25", "--max-period", "0"), "CycleError"),
+        (("parse", "--map", "z^2", "--ppm", "{tmp}", "--ppm-size", "0"), "ValueError"),
+    ])
+    def test_integer_out_of_range_exits_2(self, capsys, tmp_path, argv, error):
+        argv = [str(tmp_path / "raster.ppm") if a == "{tmp}" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == error
+        assert not (tmp_path / "raster.ppm").exists()
+
+    @pytest.mark.parametrize("value", ["0", "inf", "-0.1", "nan"])
+    def test_residue_family_param_not_positive_exits_2(self, value):
+        code, out, err = run_cli_process("residue", "--map", "2*z", "--form", "1/z",
+                                         "--family", "disc", "--family-param", value)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ResidueError"
+
+    @pytest.mark.parametrize("sub", ["cycles", "parabolic"])
+    def test_budget_only_where_an_orbit_runs(self, sub):
+        # --budget caps the tail tracker, which only tails and count run
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--map", "z^2", "--budget", "10"])
+        assert exc.value.code == 2
+
     def test_residue_with_trace(self, capsys, tmp_path):
         csv = tmp_path / "trace.csv"
         code, out, _ = run_cli(

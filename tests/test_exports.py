@@ -141,3 +141,19 @@ def test_no_private_call_layers():
     # the parser combines its Polynomial pairs inline, and dynamical_residue
     # picks the region family once and calls the region functions itself
     assert not _modules_matching(r"_FractionField|_region_sample")
+
+
+def test_parabolic_model_has_one_home():
+    # s0, the petal sectors and NORMAL_RADIUS are public rules of
+    # ParabolicInvariants: no module imports a private name of parabolic
+    def imports_private(node):
+        return (isinstance(node, ast.ImportFrom) and node.module == "parabolic"
+                and any(alias.name.startswith("_") for alias in node.names))
+
+    assert _owners(imports_private) == set()
+
+
+def test_parabolic_attraction_decided_in_cycles():
+    # cycles.classify decides ParabolicAttracting by the sign of Re nu;
+    # the other modules read the class
+    assert _modules_matching(r"nu\.real <=") == {"cycles"}

@@ -26,7 +26,7 @@ from ratdyn.orbits import (
     orbit_transcript_rows,
     regions_from_annotations,
 )
-from ratdyn.parabolic import petal_sector
+from ratdyn.parabolic import PETAL_SLACK, tangency_and_residu
 from ratdyn.ratmap import (
     SNAP_TOL,
     MapError,
@@ -323,6 +323,18 @@ def landing_rule(cycles, z, prev, loop):
     return KIND_BOUNDED, f"C{target}"
 
 
+def petal_sector(x, m):
+    """Index j of the attracting sector of x, or None: the scalar rule of
+    ``ParabolicInvariants.sectors``, one axis at a time."""
+    if x == 0:
+        return None
+    for j in range(m):
+        theta = (np.pi + 2 * np.pi * j) / m
+        if abs(np.angle(x * np.exp(-1j * theta))) <= PETAL_SLACK * np.pi / (2 * m):
+            return j
+    return None
+
+
 def scalar_run(tracker, start):
     """The per-step detector loop, one iterate at a time: the oracle."""
     step = tracker.f.step
@@ -353,7 +365,7 @@ def scalar_run(tracker, start):
                     petal_sector(x, inv.e_loc) is not None
                 )
                 petal_run[i] = petal_run.get(i, 0) + 1 if ok else 0
-                petal_prev[i] = ax if ok else np.inf
+                petal_prev[i] = ax
                 if petal_run[i] >= PETAL_RUN:
                     return result(KIND_TAME, f"C{i}", n, {"|x|": ax})
         for r in tracker.regions:
@@ -427,7 +439,16 @@ EQUIVALENCE_MAPS = {
     "two-petal": ("z + z^3", None, [], 2),
     "panel-cardioid": ("z^2 + c", {"c": 0.3 / 2 - 0.3**2 / 4}, [], 2),
     "panel-cardioid-slow": ("z^2 + c", {"c": MU_SLOW / 2 - MU_SLOW**2 / 4}, [], 2),
+    "four-petal": ("z + z^4", None, [], 1),
+    "cubic-nu-(-1-3i)": ("z + z^2 + (2+3i)*z^3", None, [], 1),
+    "cubic-nu-2": ("z + z^2 - z^3", None, [], 1),
 }
+# the parabolic fixed point of z^2 + c at the root of each p/q bulb, q <= 6
+for _q in range(2, 7):
+    for _p in range(1, _q):
+        if np.gcd(_p, _q) == 1:
+            _lam = np.exp(2j * np.pi * _p / _q)
+            EQUIVALENCE_MAPS[f"bulb-{_p}/{_q}"] = ("z^2 + c", {"c": _lam / 2 - _lam**2 / 4}, [], 1)
 # 0, 1 and around the first block boundaries (64, 192, 448 and 960 iterates)
 BUDGETS = (0, 1, 63, 64, 65, 191, 192, 193, 447, 448, 959, 960, 961, 2500)
 
@@ -544,3 +565,39 @@ class TestBlockTracker:
         (t,) = classify_tails(f, cycles, anns, budget=100)[0]
         assert t.orbit_keys.dtype == np.int64 and len(t.orbit_keys) == 3
         assert (np.diff(t.orbit_keys) > 0).all()
+
+
+class TestPetalSectors:
+    """``ParabolicInvariants.sectors`` against the scalar rule ``petal_sector``."""
+
+    @staticmethod
+    def package(m):
+        inv = tangency_and_residu(parse_map(f"z + z^{m + 1}"), 0.0, 1, 1)
+        assert inv.e_loc == m
+        return inv
+
+    @staticmethod
+    def scalar(x, m):
+        return [-1 if j is None else j for j in (petal_sector(v, m) for v in x)]
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_random_points(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=(10_000, 2)) @ [1, 1j] * np.exp(rng.uniform(-30, 5, 10_000))
+        x = np.concatenate([x, [0j, complex(-0.0, -0.0), 1, -1, 1j, -1j]])
+        assert self.package(m).sectors(x).tolist() == self.scalar(x, m)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_points_near_the_sector_edges(self, m):
+        # edges at the attracting axes +- PETAL_SLACK pi/(2m); a point at
+        # least 1e-12 rad from an edge falls on the same side under both rules
+        rng = np.random.default_rng(10 + m)
+        axes = (np.pi + 2 * np.pi * np.arange(m)) / m
+        edges = np.concatenate([axes - PETAL_SLACK * np.pi / (2 * m),
+                                axes + PETAL_SLACK * np.pi / (2 * m)])
+        gap = np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), 4000))
+        angle = rng.choice(edges, 4000) + rng.choice([-1, 1], 4000) * gap
+        x = np.exp(rng.uniform(-10, 2, 4000) + 1j * angle)
+        got = self.package(m).sectors(x)
+        assert got.tolist() == self.scalar(x, m)
+        assert 0 < np.count_nonzero(got >= 0) < got.size

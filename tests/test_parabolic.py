@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ratdyn.cycles import CLASS_PARABOLIC_REP, analyze_cycles
 from ratdyn.kernel import Polynomial
 from ratdyn.parabolic import (
+    NORMAL_RADIUS,
     ParabolicError,
     fatou_coordinate,
     local_return_series,
@@ -228,6 +229,16 @@ class TestFatouCoordinate:
         inv = tangency_and_residu(f, 0.0, 1, 1)
         with pytest.raises(ParabolicError):
             fatou_coordinate(f, inv, 0.1)  # repelling direction
+
+    def test_start_beyond_the_normal_radius_refused(self):
+        # -0.5 lies on the attracting axis of z + z^2 and its orbit stays
+        # near 0, but |u| = 0.5 is beyond NORMAL_RADIUS, where x is not trusted
+        f = parse_map("z + z^2")
+        inv = tangency_and_residu(f, 0.0, 1, 1)
+        assert inv.sectors(inv.normal_series(np.array([-0.5])))[0] == 0
+        assert NORMAL_RADIUS < 0.5
+        with pytest.raises(ParabolicError, match="escaped the parabolic chart"):
+            fatou_coordinate(f, inv, -0.5)
 
     def test_origin_against_point_in_w_chart(self):
         # z = 0 has no local coordinate u = 1/z about the parabolic point

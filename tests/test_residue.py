@@ -241,7 +241,7 @@ class TestBoundaryIntegral:
         r = np.exp(rng.uniform(np.log(0.8 * np.min(np.abs(nodes))),
                                np.log(1.25 * np.max(np.abs(nodes))), 8000))
         w = r * np.exp(2j * np.pi * rng.random(r.size))
-        s = model.s0(w)
+        s = model.inv.s0(w)
         w = w[np.abs(np.maximum(np.abs(s.real), np.abs(s.imag)) - R) < 2]
         fw = f.num(w) / f.den(w)
         dist = np.full(fw.size, np.inf)

@@ -19,18 +19,33 @@ stops on its own step.  Iterates of a multiple zero are collapsed onto it by
 ``kernel.collapse_multiple_roots``, with Taylor coefficients from the same
 iteration; it alone gives a zero a multiplicity above 1.
 
+All periods p = 1..P are solved together, so numpy's fixed cost is paid
+once per sweep, not once per period: one ``kernel.aberth`` loop runs one
+zero set per period, each with its own pairwise sums, and reads Phi at
+every active iterate from one jet iteration that steps each point its own
+p times (``RationalMap.local_jets`` with a step count per point), max(p)
+steps in all.  The orders at infinity, the residual check and the
+multipliers at finite points read one such iteration each for all
+periods.  Every step is
+elementwise per point, so each period gets the bits of a solve of its own,
+and a period's ``CycleError`` is still raised before any error of a later
+one.  The degree budget d^P + 1 <= ``DEGREE_BUDGET`` is checked before any
+period is solved.
+
 Exact periods are assigned by matching at ``SNAP_TOL`` against the zero
 sets of proper divisors -- never by deflation.  An orbit is assembled by
 matching f of each point to the nearest unused zero of the same level.
-Both matchings measure ``ratmap``'s chart-aware distance on the arrays of
-``ratmap.raw_array``, one per level, so they round as the scalar rule; an
-image beyond ``SNAP_TOL`` of every unused zero, or an orbit that does not
+Each matching reads one matrix of ``ratmap``'s chart-aware distance per
+level (``ratmap.distance_matrix``): the level's zeros against those of its
+proper divisors, and f of each new zero against the new zeros, built in
+row blocks.  The matrix rounds as the scalar rule entry by entry; an image
+beyond ``SNAP_TOL`` of every unused zero, or an orbit that does not
 return to within it of its start, raises ``CycleError``, so every reported
 cycle closes as ``SpherePoint`` compares points.  A cycle's multiplier
 is (f^p)' at its first point, in its local coordinate: the first-order jet
-of f^p from one more iteration of each level's fixed points, order 2 and
-all at once (``RationalMap.multiplier``), so no derivative is taken chart
-by chart along the orbit.  Classification follows the multiplier:
+of f^p from one more iteration of the new fixed points of every level,
+order 2 and all at once (``RationalMap.multiplier``), so no derivative is
+taken chart by chart along the orbit.  Classification follows the multiplier:
 attracting / superattracting / repelling by modulus, parabolic when the
 multiplier is a root of unity within a finite horizon (subclassified by
 the sign of Re(nu)), and irrationally indifferent cycles stay unresolved
@@ -40,11 +55,13 @@ decides Siegel vs Cremer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import (
+    _PAIR_BLOCK,
     ALGEBRAIC_TOL,
     aberth,
     by_position,
@@ -64,7 +81,7 @@ from .ratmap import (
     _as_point,
     _jet_mul,
     distance,
-    distances,
+    distance_matrix,
     raw_array,
 )
 
@@ -184,14 +201,13 @@ _PULLBACK_TARGET = 0.3 + 0.2j  # a generic point whose preimages seed Aberth
 
 
 class _FixedPointForm:
-    """Phi = Y Z_p - X W_p for f^p, on Taylor jets, through the homogeneous iteration."""
+    """Phi = Y Z_p - X W_p for f^p, on Taylor jets, through the homogeneous
+    iteration; p is a period, or an array of them with one per point."""
 
-    def __init__(self, f: RationalMap, p):
+    def __init__(self, f: RationalMap):
         self.f = f
-        self.p = p
-        self.degree = f.degree**p + 1
 
-    def terms(self, t, k):
+    def terms(self, t, k, p):
         """The two terms of Phi as Taylor jets about the raw value t (orders
         on axis 0; t an array of finite values, or None for ∞).
 
@@ -200,33 +216,46 @@ class _FixedPointForm:
         or x - h y at ∞.  Returns (a, b) with Phi = a - b, both divided by
         the same factor per point.
         """
-        x, y = self.f.local_jets(t, k, self.p)
+        x, y = self.f.local_jets(t, k, p)
         var = np.zeros_like(y)  # the jet of t + h, or h at ∞
         var[0], var[1:2] = 0 if t is None else t, 1.0
         return x, _jet_mul(var, y)
 
-    def jet(self, t, k):
+    def jet(self, t, k, p):
         """Taylor coefficients of Phi(t + h), orders 0..k-1 on axis 0, up to a factor per point."""
-        a, b = self.terms(t, k)
+        a, b = self.terms(t, k, p)
         return a - b
 
-    def taylor(self, x, k):
-        """t_0 .. t_k of Phi at one raw value x, up to a factor, and their zero levels."""
-        a, b = self.terms(x, k + 1)
+    def taylor(self, x, k, p):
+        """t_0 .. t_k of Phi at one raw value x (or at ∞ once per entry of
+        an array p), up to a factor, and their zero levels."""
+        a, b = self.terms(x, k + 1, p)
         size = np.maximum.accumulate(np.maximum(np.abs(a), np.abs(b)))
         return a - b, _ORDER_TOL * size
 
-    def order_at_infinity(self):
-        """Order of Phi at infinity (0 when f^p moves it), or None when Phi vanishes identically."""
-        k = 2
-        while True:
-            t, zero = self.taylor(None, k - 1)
-            above = np.flatnonzero(np.abs(t) > zero)
-            if above.size:
-                return int(above[0])
-            if k > self.degree:
-                return None
-            k = min(2 * k, self.degree + 1)
+    def orders_at_infinity(self, max_period):
+        """{p: order of Phi at infinity for f^p} for p = 1..max_period: 0
+        when f^p moves it, None when Phi vanishes identically.
+
+        The open periods share one jet iteration at ∞ per doubling of the
+        truncation, each reading at most its d^p + 2 coefficients; a
+        coefficient does not depend on the truncation, so each order is the
+        one its period finds alone."""
+        orders = dict.fromkeys(range(1, max_period + 1))
+        pending, k = list(orders), 2
+        while pending:
+            t, zero = self.taylor(None, k - 1, pending)
+            left = []
+            for i, p in enumerate(pending):
+                top = min(k, self.f.degree**p + 2)
+                above = np.flatnonzero(np.abs(t[:top, i]) > zero[:top, i])
+                if above.size:
+                    orders[p] = int(above[0])
+                elif top < self.f.degree**p + 2:
+                    left.append(p)
+            pending = left
+            k = min(2 * k, max((self.f.degree**p + 2 for p in pending), default=k))
+        return orders
 
 
 def _preimages(num, den, v):
@@ -286,90 +315,143 @@ class _Pullback:
         return v + 1e-6 * np.maximum(1.0, np.abs(v)) * np.exp(2j * np.pi * rng.random(n))
 
 
-def _fixed_points(f: RationalMap, p, pullback):
-    """(finite fixed points of f^p, their multiplicities, order m of infinity).
+def _fixed_points(f: RationalMap, max_period):
+    """The fixed points of f^p for p = 1..max_period, one level per p in
+    order: (finite fixed points, their multiplicities, order m of
+    infinity), or the ``CycleError`` of the first level that fails, which
+    ends the list.
 
-    ``pullback`` is a ``_Pullback`` of f, which shares preimages across periods.
+    Every level's Aberth iteration runs in one ``kernel.aberth`` call, its
+    Phi read for all levels by one jet iteration per sweep; the residuals
+    of all levels come from one more.
     """
-    if f.degree**p + 1 > DEGREE_BUDGET:
-        raise CycleError(
-            f"degree budget exceeded: {f.degree}^{p} + 1 > {DEGREE_BUDGET}"
-        )
-    form = _FixedPointForm(f, p)
-    m_inf = form.order_at_infinity()
-    if m_inf is None:
-        raise CycleError(f"f^{p} is the identity; periodic points are not isolated")
-    n = form.degree - m_inf
-    if n == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=int), m_inf
-    z, _ = aberth(lambda x: form.jet(x, 2), pullback.seeds(p, n))
-    if not np.all(np.isfinite(z)):
-        raise CycleError(f"periodic-point iteration for f^{p} left the plane")
-    roots = collapse_multiple_roots(z, form.taylor)
-    z = np.array([r for r, _ in roots], dtype=complex)
-    res = np.abs(form.jet(z, 1)[0])
+    form = _FixedPointForm(f)
+    orders = form.orders_at_infinity(max_period)
+    periods = list(itertools.takewhile(lambda p: orders[p] is not None, orders))
+    counts = {p: f.degree**p + 1 - orders[p] for p in periods}
+    solved = [p for p in periods if counts[p]]
+    iterates = {}
+    if solved:
+        pullback, period = _Pullback(f), np.array(solved)
+        found, _ = aberth(lambda x, s: form.jet(x, 2, period[s]),
+                          [pullback.seeds(p, counts[p]) for p in solved])
+        iterates = dict(zip(solved, found))
+    roots, failed = {}, None
+    for p in periods:
+        z = iterates.get(p, np.zeros(0, dtype=complex))
+        if not np.all(np.isfinite(z)):
+            failed = CycleError(f"periodic-point iteration for f^{p} left the plane")
+            break
+        roots[p] = collapse_multiple_roots(z, lambda x, k: form.taylor(x, k, p))
+    z = np.array([r for p in roots for r, _ in roots[p]], dtype=complex)
+    steps = np.repeat(list(roots), [len(roots[p]) for p in roots])
+    res = np.abs(form.jet(z, 1, steps)[0])
     bound = ALGEBRAIC_TOL * np.maximum(1.0, np.abs(z))
-    if not np.all(res <= bound):
-        worst = float(np.max(res / bound))
-        raise CycleError(
-            f"periodic points of f^{p} did not converge: residual {worst:.3e} times the bound"
-        )
-    z, mult = zip(*by_position(roots))
-    return np.array(z, dtype=complex), np.array(mult, dtype=int), m_inf
+    levels = []
+    for p in roots:
+        res_p, bound_p = res[steps == p], bound[steps == p]
+        if not np.all(res_p <= bound_p):
+            worst = float(np.max(res_p / bound_p))
+            return levels + [CycleError(
+                f"periodic points of f^{p} did not converge: residual {worst:.3e} times the bound"
+            )]
+        z_p, mult = zip(*by_position(roots[p])) if roots[p] else ((), ())
+        levels.append((np.array(z_p, dtype=complex), np.array(mult, dtype=int), orders[p]))
+    if failed is None and len(periods) < max_period:
+        failed = CycleError(f"f^{len(periods) + 1} is the identity; periodic points are not isolated")
+    return levels + [failed] if failed else levels
 
 
 def _divisors(p):
     return [q for q in range(1, p) if p % q == 0]
 
 
+def _near(zs, bs):
+    """For each entry of the ``raw_array`` bs, the indices of the entries of
+    the ``raw_array`` zs within SNAP_TOL of it, nearest first (ties by
+    index), from ``ratmap.distance_matrix`` built in row blocks."""
+    near = [[] for _ in range(bs.shape[1])]
+    rows = max(1, _PAIR_BLOCK // max(bs.shape[1], 1))
+    for s in range(0, zs.shape[1], rows):
+        d = distance_matrix(zs[:, s : s + rows], bs)
+        i, j = np.nonzero(d <= SNAP_TOL)
+        for r, c, dist in zip((i + s).tolist(), j.tolist(), d[i, j].tolist()):
+            near[c].append((dist, r))
+    return [[r for _, r in sorted(hits)] for hits in near]
+
+
+def _orbits(f: RationalMap, p, exact, zs, lam):
+    """The cycles of exact period p through the raw values exact (their
+    ``raw_array`` zs), whose multipliers are lam: an orbit goes from each
+    point to the nearest unused one within SNAP_TOL of its image (``_near``
+    of the images against the points, one matrix per level)."""
+    images = [f.step(v) for v in exact]
+    near = _near(zs, raw_array(images)) if p > 1 else None  # a fixed point needs no match
+    used = [False] * len(exact)
+    cycles = []
+    for i, start in enumerate(exact):
+        if used[i]:
+            continue
+        used[i] = True
+        orbit = [i]
+        for _ in range(p - 1):
+            k = orbit[-1]
+            j = next((j for j in near[k] if not used[j]), None)
+            if j is None:
+                d = distance_matrix(zs, raw_array([images[k]]))[:, 0]
+                d[used] = np.inf
+                raise CycleError(
+                    f"orbit of {SpherePoint(exact[k])!r} does not close: f maps it "
+                    f"{np.min(d):.3g} from the nearest unused period-{p} point"
+                )
+            used[j] = True
+            orbit.append(j)
+        gap = distance(images[orbit[-1]], start)
+        if gap > SNAP_TOL:
+            raise CycleError(
+                f"orbit of {SpherePoint(start)!r} does not close: f^{p} moves it {gap:.3g}"
+            )
+        points = [SpherePoint(exact[j]) for j in orbit]
+        cycles.append(Cycle(points=points, period=p, multiplier=complex(lam[i])))
+    return cycles
+
+
 def find_cycles(f: RationalMap, max_period):
     """All cycles of exact period <= max_period, sorted deterministically."""
     if max_period < 1:
         raise CycleError(f"max_period must be >= 1, got {max_period}")
-    levels = {}  # period q -> raw values of the fixed points of f^q
+    if f.degree**max_period + 1 > DEGREE_BUDGET:
+        raise CycleError(
+            f"degree budget exceeded: {f.degree}^{max_period} + 1 > {DEGREE_BUDGET}"
+        )
+    levels = _fixed_points(f, max_period)
+    solved = [level for level in levels if not isinstance(level, CycleError)]
+    values, zs, new = [], [], []  # per level: the fixed points, their raw_array, the exact ones
+    for p, (z, _, m_inf) in enumerate(solved, 1):
+        values.append([complex(zi) for zi in z] + ([None] if m_inf else []))
+        zs.append(raw_array(values[-1]))
+        # a point of exact period p is none of the fixed points of f^q, q | p
+        old = [zs[q - 1] for q in _divisors(p)]
+        seen = np.zeros(len(values[-1]), dtype=bool)
+        if old:
+            seen = np.any(distance_matrix(zs[-1], np.hstack(old)) <= SNAP_TOL, axis=1)
+        new.append(~seen)
+    # (f^p)' at each new finite point, in its local coordinate: one jet
+    # iteration for every level
+    finite = [z[new[p - 1][: len(z)]] for p, (z, _, _) in enumerate(solved, 1)]
+    steps = np.repeat(np.arange(1, len(finite) + 1), [len(z) for z in finite])
+    lam = f.multiplier(np.concatenate([np.zeros(0, dtype=complex)] + finite), steps)
     cycles = []
-    pullback = _Pullback(f)
-    for p in range(1, max_period + 1):
-        z, _, m_inf = _fixed_points(f, p, pullback)
-        values = [complex(zi) for zi in z] + ([None] if m_inf else [])
-        levels[p] = values
-        zs = raw_array(values)
-        seen = np.zeros(len(values), dtype=bool)
-        for q in _divisors(p):
-            for v in levels[q]:
-                seen |= distances(zs, v) <= SNAP_TOL
-        exact = [v for v, old in zip(values, seen) if not old]
-        zs = zs[:, ~seen]
-        # (f^p)' at each new point, in its local coordinate: one jet iteration per level
-        at_inf = [f.multiplier(None, p)] if m_inf and not seen[-1] else []
-        lam = np.concatenate([f.multiplier(z[~seen[: len(z)]], p), at_inf])
-        if not np.all(np.isfinite(lam)):
+    for p, level in enumerate(levels, 1):
+        if isinstance(level, CycleError):
+            raise level
+        # ∞ is new at one level only, its exact period
+        at_inf = [f.multiplier(None, p)] if level[2] and new[p - 1][-1] else []
+        lam_p = np.concatenate([lam[steps == p], at_inf])
+        if not np.all(np.isfinite(lam_p)):
             raise CycleError(f"a multiplier of f^{p} is not finite")
-        used = np.zeros(len(exact), dtype=bool)
-        for i, start in enumerate(exact):
-            if used[i]:
-                continue
-            used[i] = True
-            orbit = [start]
-            for _ in range(p - 1):
-                image = f.step(orbit[-1])
-                d = distances(zs, image)
-                d[used] = np.inf
-                j = int(np.argmin(d))
-                if d[j] > SNAP_TOL:
-                    raise CycleError(
-                        f"orbit of {SpherePoint(orbit[-1])!r} does not close: f maps it "
-                        f"{d[j]:.3g} from the nearest unused period-{p} point"
-                    )
-                used[j] = True
-                orbit.append(exact[j])
-            gap = distance(f.step(orbit[-1]), start)
-            if gap > SNAP_TOL:
-                raise CycleError(
-                    f"orbit of {SpherePoint(start)!r} does not close: f^{p} moves it {gap:.3g}"
-                )
-            points = [SpherePoint(v) for v in orbit]
-            cycles.append(Cycle(points=points, period=p, multiplier=complex(lam[i])))
+        exact = [v for v, ok in zip(values[p - 1], new[p - 1]) if ok]
+        cycles += _orbits(f, p, exact, zs[p - 1][:, new[p - 1]], lam_p)
     cycles.sort(key=Cycle.sort_key)
     return cycles
 

@@ -227,7 +227,7 @@ def poly_roots(p):
     r0 = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
     rng = np.random.default_rng(12345)
     ang = 2 * np.pi * (np.arange(n) + 0.25) / n + 0.05 * rng.standard_normal(n)
-    z, ok = aberth(lambda x: horner_with_derivative(c, x), 0.6 * r0 * np.exp(1j * ang))
+    [z], [ok] = aberth(lambda x, _: horner_with_derivative(c, x), [0.6 * r0 * np.exp(1j * ang)])
     with np.errstate(over="ignore", invalid="ignore"):
         # Newton polish (helps simple roots; stalls harmlessly on clusters)
         for _ in range(3):
@@ -289,30 +289,39 @@ def _close_pairs(z, radius):
 _MAX_ITER = 400
 
 
-def aberth(jet, z):
-    """Aberth iteration from the starting points z on the zeros of a function.
+def aberth(jet, sets):
+    """Aberth iteration on the zeros of several functions at once, each from
+    its own array of starting points in ``sets``.
 
-    ``jet(x)`` gives the value and derivative at the points x, each up to
-    the same nonzero factor per point.  Each iterate stops on its own step;
-    the pairwise sum runs in row blocks, so memory stays O(n * block).
-    Returns the iterates and whether every one of them stopped.
+    ``jet(x, s)`` gives the value and derivative at the points x, each up
+    to the same nonzero factor per point, where s[i] is the index in
+    ``sets`` of the function x[i] belongs to.  Each set keeps its own
+    pairwise sums, run in row blocks so memory stays O(n * block), and
+    every other step is elementwise, so a set's iterates move exactly as
+    when it is solved alone.  Each iterate stops on its own step.  Returns
+    the iterates of each set and whether every one of them stopped.
     """
-    z = z.copy()
-    n = z.size
-    active = np.arange(n)
-    rows = max(1, _PAIR_BLOCK // n)
+    sizes = [len(x) for x in sets]
+    bounds = np.cumsum([0] + sizes).tolist()
+    blocks = [(lo, lo + n, max(1, _PAIR_BLOCK // max(n, 1))) for lo, n in zip(bounds, sizes)]
+    z = np.concatenate(sets)
+    label = np.repeat(np.arange(len(sets)), sizes)
+    active = np.arange(z.size)
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ITER):
             za = z[active]
-            val, der = jet(za)
+            val, der = jet(za, label[active])
             der = np.where(der == 0, 1e-300, der)
             w = val / der
             s = np.empty(active.size, dtype=complex)
-            for b in range(0, active.size, rows):
-                idx = active[b : b + rows]
-                diff = z[idx, None] - z[None, :]
-                diff[np.arange(idx.size), idx] = np.inf
-                s[b : b + rows] = np.sum(1.0 / diff, axis=1)
+            # each set's active iterates are one run of active (both ascend)
+            runs = np.searchsorted(active, bounds).tolist()
+            for (lo, hi, rows), a0, a1 in zip(blocks, runs, runs[1:]):
+                for b in range(a0, a1, rows):
+                    idx = active[b : min(b + rows, a1)]
+                    diff = z[idx, None] - z[None, lo:hi]
+                    diff[np.arange(idx.size), idx - lo] = np.inf
+                    s[b : b + idx.size] = np.sum(1.0 / diff, axis=1)
             denom = 1.0 - w * s
             denom = np.where(np.abs(denom) < 1e-14, 1e-14, denom)
             step = w / denom
@@ -321,7 +330,9 @@ def aberth(jet, z):
             active = active[moving]
             if not active.size:
                 break
-    return z, not active.size
+    stopped = np.searchsorted(active, bounds)
+    return ([z[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+            [bool(a0 == a1) for a0, a1 in zip(stopped, stopped[1:])])
 
 
 def collapse_multiple_roots(z, taylor):

@@ -452,7 +452,9 @@ def delta_marks(cycles, split: RamSplit):
 
 
 def orbit_transcript_rows(f: RationalMap, z0, n):
-    """CSV rows (iterate, re, im, chart) of the orbit of z0."""
+    """CSV rows (iterate, re, im, chart) of the orbit of z0, n >= 0 steps long."""
+    if n < 0:
+        raise ValueError(f"orbit length must be >= 0, got {n}")
     zs = [_as_point(z0).value]
     f.iterate(zs[0], n, zs)
     rows = []

@@ -9,10 +9,10 @@ u = z - z0, or u = 1/z when z0 is infinity (``local_coord``, ``local_pair``,
 ``RationalMap.local_jets``).  Both rules act on raw values (a Python
 ``complex``, or ``None`` for infinity), so orbit loops run on raw values
 and a ``SpherePoint`` carries one in ``value``.  Their array forms
-(``snap_keys``, ``distances``, ``local_coords``, ``moduli``) take the
-(z, w) arrays of ``raw_array``, whose reciprocal w is computed once per
-array, and round exactly as the scalar rules do, so a block of iterates is
-judged as the iterates one by one.
+(``snap_keys``, ``distances``, ``distance_matrix``, ``local_coords``,
+``moduli``) take the (z, w) arrays of ``raw_array``, whose reciprocal w is
+computed once per array, and round exactly as the scalar rules do, so a
+block of iterates is judged as the iterates one by one.
 
 A finite value whose modulus overflows a double lies beyond radius 2:
 ``chart_coords`` and the orbit kernel put it in the w chart, ``distance``
@@ -30,7 +30,8 @@ Taylor expansions of the iterates f^n have one home as well:
 ``RationalMap.iterate_jets`` steps a pair of Taylor jets (x : y) through
 the homogenized map, so an orbit through infinity needs no chart switch.
 ``RationalMap.local_jets`` seeds it with the jets of a point in its local
-coordinate, and ``cycles``, ``parabolic``, ``extjet``,
+coordinate (a step count per point lets one call serve several iterates),
+and ``cycles``, ``parabolic``, ``extjet``,
 ``compose_self_homogeneous`` and the multipliers (``RationalMap.multiplier``,
 the first-order jet of f^n: a cycle's (f^p)' needs no chart) read f^n from
 it.  ``RationalMap.wronskian`` is num' den - num den', whose zeros are the
@@ -137,6 +138,17 @@ def distances(zs, b):
 
 
 @np.errstate(over="ignore")
+def distance_matrix(zs, bs):
+    """``distance`` from each entry of the ``raw_array`` zs (rows) to each
+    entry of the ``raw_array`` bs (columns): column j rounds as
+    ``distances(zs, b_j)``, at ∞ and 0 too."""
+    (z, w), (bz, bw) = zs[:, :, None], bs[:, None, :]
+    d = _hypot(z - bz)
+    d[np.isnan(z.real) | np.isnan(bz.real)] = np.inf
+    return np.fmin(d, _hypot(w - bw))  # NaN, so d, where either is 0
+
+
+@np.errstate(over="ignore")
 def moduli(u):
     """|u| over a complex array, rounded as Python's scalar ``abs`` (a hypot;
     ``np.abs`` differs in the last bit); inf where it overflows."""
@@ -144,9 +156,9 @@ def moduli(u):
 
 
 def _hypot(u):
-    """``moduli`` in the caller's error state: ``distances`` sets the state
-    once for its two moduli (a setting costs about 1.5 µs, and
-    ``cycles.find_cycles`` calls ``distances`` once per point it matches)."""
+    """``moduli`` in the caller's error state: ``distances`` and
+    ``distance_matrix`` set the state once for their two moduli (a setting
+    costs about 1.5 µs)."""
     return np.hypot(u.real, u.imag)
 
 
@@ -366,6 +378,28 @@ def _homogeneous_pair(num, den, x, y):
     return [a if isinstance(a, np.ndarray) else np.full(x.shape, a, dtype=complex) for a in acc]
 
 
+def _jet_step(num, den, x, y):
+    """One step of ``RationalMap.iterate_jets``: the homogenized num/den on
+    the jets, divided by max(|x_0|, |y_0|)."""
+    x, y = _homogeneous_pair(num, den, x, y)
+    s = np.maximum(np.abs(x[0]), np.abs(y[0]))
+    return x / s, y / s  # not in place: the pair may alias the input jets
+
+
+def _staggered_jets(num, den, x, y, n):
+    """``RationalMap.iterate_jets`` with n[i] steps for the point on axis 1
+    at i, the counts non-decreasing: each point is frozen after its own
+    count, so its jets are the bits of a call with its count alone (each
+    step is elementwise per point)."""
+    if np.any(n[1:] < n[:-1]):
+        raise ValueError("per-point step counts must be non-decreasing")
+    x, y = x.copy(), y.copy()
+    # at step i + 1, lo is the number of points of at most i steps
+    for lo in np.cumsum(np.bincount(n, minlength=1))[:-1].tolist():
+        x[:, lo:], y[:, lo:] = _jet_step(num, den, x[:, lo:], y[:, lo:])
+    return x, y
+
+
 def local_pair(num, den, z0):
     """(A, B): the fraction num/den pulled back to the local coordinate u
     about the raw value z0 (``local_coord``), A(u)/B(u) = num(z)/den(z):
@@ -453,23 +487,30 @@ class RationalMap:
         """The n-th homogeneous iterate of the Taylor jets (x : y) (orders
         on axis 0, never written to), divided by max(|x_0|, |y_0|) after
         every step: a factor common to the coefficients of a point, so
-        ratios keep their values and nothing overflows."""
+        ratios keep their values and nothing overflows.
+
+        n is a step count, or a non-decreasing array of them, one per point
+        on axis 1, each point frozen after its own count (``_staggered_jets``)."""
         num, den = self.padded
+        if np.ndim(n):
+            return _staggered_jets(num, den, x, y, np.asarray(n, dtype=int))
         for _ in range(n):
-            x, y = _homogeneous_pair(num, den, x, y)
-            s = np.maximum(np.abs(x[0]), np.abs(y[0]))
-            x, y = x / s, y / s  # not in place: the pair may alias the input jets
+            x, y = _jet_step(num, den, x, y)
         return x, y
 
     def local_jets(self, z0, k, n):
-        """The n-th homogeneous iterate (x : y) (``iterate_jets``) of the
-        jets, orders 0..k-1 on axis 0, of a point in its local coordinate u
-        about the raw value z0: (z0 + u : 1) for finite z0 (an array of them
-        on the further axes), (1 : u) when z0 is None (∞).  The pair comes
-        swapped at ∞, so x/y is the image in the chart of z0: its z for
-        finite z0, its 1/z at ∞."""
+        """The n-th homogeneous iterate (x : y) (``iterate_jets``; n a step
+        count or a non-decreasing array of them, one per point) of the jets, orders
+        0..k-1 on axis 0, of a point in its local coordinate u about the
+        raw value z0: (z0 + u : 1) for finite z0 (an array of them on the
+        further axes), (1 : u) when z0 is None (∞, once per entry of an
+        array n).  The pair comes swapped at ∞, so x/y is the image in the
+        chart of z0: its z for finite z0, its 1/z at ∞."""
         if z0 is None:
-            x, y = self.iterate_jets(*np.eye(2, k, dtype=complex), n)
+            x, y = np.eye(2, k, dtype=complex)
+            if np.ndim(n):
+                x, y = (np.repeat(e[:, None], len(n), axis=1) for e in (x, y))
+            x, y = self.iterate_jets(x, y, n)
             return y, x
         z0 = np.asarray(z0, dtype=complex)
         x = np.zeros((k,) + z0.shape, dtype=complex)

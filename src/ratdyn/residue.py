@@ -324,9 +324,12 @@ def dynamical_residue(f: RationalMap, mu: FormDensity, kind="fatou", center=0.0,
     """Extrapolated residue along a shrinking region family.
 
     params: decreasing eps grid (disc) or increasing R grid (fatou), all finite and > 0.
+    budget: density evaluations per region, >= 0.
     inv: the parabolic package at center; computed once here when the
     fatou family needs it and none is given.
     """
+    if budget < 0:
+        raise ResidueError(f"node budget must be >= 0, got {budget}")
     if params is not None and not all(np.isfinite(p) and p > 0 for p in params):
         raise ResidueError(f"family parameters must be finite and positive, got {list(params)}")
     if f.evaluate(center) != _as_point(center):

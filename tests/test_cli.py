@@ -281,6 +281,30 @@ class TestPipelines:
         assert json.loads(err)["error"] == error
         assert not (tmp_path / "raster.ppm").exists()
 
+    def test_cycles_degree_budget_exits_2_first(self, capsys):
+        # d^p + 1 > 5000 is an input error, raised before any period is solved
+        code, out, err = run_cli(capsys, "cycles", "--map", "z^2", "--max-period", "13")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "CycleError",
+                                   "message": "degree budget exceeded: 2^13 + 1 > 5000"}
+
+    def test_negative_orbit_length_exits_2(self, capsys, tmp_path):
+        csv = tmp_path / "o.csv"
+        code, out, err = run_cli(capsys, "tails", "--map", "z^2-1", "--orbit-csv", str(csv),
+                                 "--orbit-from", "0", "--orbit-len", "-3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ValueError"
+        assert not csv.exists()
+
+    def test_residue_negative_budget_exits_2(self):
+        code, out, err = run_cli_process("residue", "--map", "2*z", "--form", "1/z",
+                                         "--family", "disc", "--budget", "-5")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ResidueError",
+                                   "message": "node budget must be >= 0, got -5"}
+
     @pytest.mark.parametrize("value", ["0", "inf", "-0.1", "nan"])
     def test_residue_family_param_not_positive_exits_2(self, value):
         code, out, err = run_cli_process("residue", "--map", "2*z", "--form", "1/z",

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ratdyn.corpus import load_corpus
 from ratdyn.cycles import (
+    ALGEBRAIC_TOL,
     CLASS_ATTRACTING,
     CLASS_CREMER,
     CLASS_PARABOLIC_ATTR,
@@ -15,20 +17,24 @@ from ratdyn.cycles import (
     CLASS_SUPER,
     CLASS_UNRESOLVED,
     Annotation,
+    Cycle,
     CycleError,
     analyze_cycles,
     find_cycles,
+    _divisors,
     _fixed_points,
+    _FixedPointForm,
     _Pullback,
     load_annotations,
 )
-from ratdyn.kernel import Polynomial
+from ratdyn.kernel import Polynomial, aberth, by_position, collapse_multiple_roots
 from ratdyn.ratmap import (
     SNAP_TOL,
     RationalMap,
     SpherePoint,
     chart_coords,
     distance,
+    distance_matrix,
     distances,
     parse_map,
     raw_array,
@@ -253,7 +259,7 @@ class TestIteratedMapRoots:
 
     def test_triple_root_at_zero(self):
         f = parse_map("z + z^3")
-        [pt], [m], _ = _fixed_points(f, 1, _Pullback(f))
+        [([pt], [m], _)] = _fixed_points(f, 1)
         assert m == 3 and abs(pt) < 1e-12
 
     def test_parabolic_two_cycle_collapses_onto_fixed_point(self):
@@ -323,7 +329,7 @@ class TestIteratedMapRoots:
         den = Polynomial(dcoef)
         cubic = Polynomial([-a, 1]) ** 2 * Polynomial([-b, 1])
         f = RationalMap(Polynomial([0, 1]) * den - dcoef[2] * cubic, den)
-        z, mult, _ = _fixed_points(f, 1, _Pullback(f))
+        [(z, mult, _)] = _fixed_points(f, 1)
         found = sorted(zip(z, mult), key=lambda pm: abs(pm[0] - a))
         assert [m for _, m in found] == [2, 1]
         assert abs(found[0][0] - a) < 1e-9
@@ -365,3 +371,167 @@ def test_evaluate_matches_chart_formula(expr):
         a, b = (f.num, f.den) if chart == "z" else (f._rnum, f._rden)
         want = a(t) / b(t)
         assert abs(f.evaluate(z).value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# -- the joint solve against the per-period one --------------------------------
+
+
+def per_period_fixed_points(f, p, pullback):
+    """The fixed points of f^p solved alone, as before the joint solve: its
+    own order at infinity, Aberth loop and residual check."""
+    form, degree, k = _FixedPointForm(f), f.degree**p + 1, 2
+    while True:
+        t, zero = form.taylor(None, k - 1, p)
+        above = np.flatnonzero(np.abs(t) > zero)
+        if above.size:
+            m_inf = int(above[0])
+            break
+        if k > degree:
+            raise CycleError(f"f^{p} is the identity; periodic points are not isolated")
+        k = min(2 * k, degree + 1)
+    n = degree - m_inf
+    if n == 0:
+        return np.zeros(0, dtype=complex), m_inf
+    [z], _ = aberth(lambda x, _: form.jet(x, 2, p), [pullback.seeds(p, n)])
+    if not np.all(np.isfinite(z)):
+        raise CycleError(f"periodic-point iteration for f^{p} left the plane")
+    roots = collapse_multiple_roots(z, lambda x, k: form.taylor(x, k, p))
+    z = np.array([r for r, _ in roots], dtype=complex)
+    res = np.abs(form.jet(z, 1, p)[0])
+    bound = ALGEBRAIC_TOL * np.maximum(1.0, np.abs(z))
+    if not np.all(res <= bound):
+        worst = float(np.max(res / bound))
+        raise CycleError(
+            f"periodic points of f^{p} did not converge: residual {worst:.3e} times the bound")
+    return np.array([r for r, _ in by_position(roots)], dtype=complex), m_inf
+
+
+def per_period_cycles(f, max_period):
+    """find_cycles one period at a time, matching each image against the
+    points with one ``distances`` call per point."""
+    levels, cycles, pullback = {}, [], _Pullback(f)
+    for p in range(1, max_period + 1):
+        z, m_inf = per_period_fixed_points(f, p, pullback)
+        values = [complex(zi) for zi in z] + ([None] if m_inf else [])
+        levels[p] = values
+        zs = raw_array(values)
+        seen = np.zeros(len(values), dtype=bool)
+        for q in _divisors(p):
+            for v in levels[q]:
+                seen |= distances(zs, v) <= SNAP_TOL
+        exact = [v for v, old in zip(values, seen) if not old]
+        zs = zs[:, ~seen]
+        at_inf = [f.multiplier(None, p)] if m_inf and not seen[-1] else []
+        lam = np.concatenate([f.multiplier(z[~seen[: len(z)]], p), at_inf])
+        if not np.all(np.isfinite(lam)):
+            raise CycleError(f"a multiplier of f^{p} is not finite")
+        used = np.zeros(len(exact), dtype=bool)
+        for i, start in enumerate(exact):
+            if used[i]:
+                continue
+            used[i] = True
+            orbit = [start]
+            for _ in range(p - 1):
+                image = f.step(orbit[-1])
+                d = distances(zs, image)
+                d[used] = np.inf
+                j = int(np.argmin(d))
+                if d[j] > SNAP_TOL:
+                    raise CycleError(
+                        f"orbit of {SpherePoint(orbit[-1])!r} does not close: f maps it "
+                        f"{d[j]:.3g} from the nearest unused period-{p} point")
+                used[j] = True
+                orbit.append(exact[j])
+            gap = distance(f.step(orbit[-1]), start)
+            if gap > SNAP_TOL:
+                raise CycleError(
+                    f"orbit of {SpherePoint(start)!r} does not close: f^{p} moves it {gap:.3g}")
+            cycles.append(Cycle([SpherePoint(v) for v in orbit], p, complex(lam[i])))
+    cycles.sort(key=Cycle.sort_key)
+    return cycles
+
+
+def outcome(solve, f, p):
+    """The repr of every cycle's JSON, or the error a solve raises."""
+    try:
+        return [repr(c.to_json()) for c in solve(f, p)]
+    except CycleError as exc:
+        return f"CycleError: {exc}"
+
+
+_ORACLE_RNG = np.random.default_rng(29)
+ORACLE_MAPS = (
+    [("z^2 + c", {"c": complex(*_ORACLE_RNG.uniform(-1.2, 1.2, 2))}, 5) for _ in range(3)]
+    + [("z^3 + c", {"c": complex(*_ORACLE_RNG.uniform(-1.0, 1.0, 2))}, 3) for _ in range(2)]
+    + [("(a0 + a1*z + a2*z^2)/(b0 + b1*z + b2*z^2)",
+        {k: complex(*_ORACLE_RNG.standard_normal(2)) for k in ("a0", "a1", "a2", "b0", "b1", "b2")},
+        2)]
+    + [(LATTES, {}, p) for p in (1, 2, 3)]
+    + [(expr, {}, 3) for expr in ("z^2 + 1/4", "z^2 - 3/4", "z + z^2", "z + z^3")]
+    + [("z + 1/z", {}, 3), ("z^2", {}, 4), ("-1/z", {}, 3), ("i*z", {}, 4)]
+)
+
+
+class TestJointSolveMatchesPerPeriod:
+    # find_cycles solves every period in one Aberth loop and matches orbits
+    # through one distance matrix per level: the same bits as one period at
+    # a time, and the same first error
+    @pytest.mark.parametrize("expr,params,p", ORACLE_MAPS)
+    def test_bit_equal(self, expr, params, p):
+        f = parse_map(expr, params)
+        assert outcome(find_cycles, f, p) == outcome(per_period_cycles, f, p)
+
+    @pytest.mark.parametrize("entry", load_corpus(), ids=lambda e: e["name"])
+    def test_bit_equal_on_corpus(self, entry):
+        params = {k: complex(*v) for k, v in entry.get("params", {}).items()}
+        f, p = parse_map(entry["map"], params), int(entry.get("max_period", 2))
+        assert outcome(find_cycles, f, p) == outcome(per_period_cycles, f, p)
+
+    def test_generic_rational_map_at_period_3(self):
+        a = (-0.7866 + 0.0122j, -0.4843 - 0.5664j, -2.6149 + 0.4451j)
+        b = (0.7516 + 0.4457j, -0.1882 - 0.3778j, 1.0662 + 1.5337j)
+        f = RationalMap(Polynomial(a), Polynomial(b))
+        assert outcome(find_cycles, f, 3) == outcome(per_period_cycles, f, 3)
+
+    @pytest.mark.parametrize("expr", ["z^2 + 0.3+0.2i", LATTES, "z + 1/z"])
+    def test_local_jets_per_point_counts(self, expr):
+        # a count per point gives each point the bits of a call with its
+        # count alone, at ∞ too; unsorted counts are refused
+        f = parse_map(expr)
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        counts = np.sort(rng.integers(0, 5, 40))
+        for k in (1, 2, 4):
+            x, y = f.local_jets(z, k, counts)
+            for c in range(5):
+                want = f.local_jets(z[counts == c], k, c)
+                assert np.array_equal(x[:, counts == c], want[0])
+                assert np.array_equal(y[:, counts == c], want[1])
+            x, y = f.local_jets(None, k, counts)
+            for i, c in enumerate(counts):
+                want = f.local_jets(None, k, int(c))
+                assert np.array_equal(x[:, i], want[0]) and np.array_equal(y[:, i], want[1])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            f.local_jets(z[:2], 2, [1, 0])
+
+    def test_distance_matrix_matches_distances(self):
+        # column j is distances(zs, b_j), bit for bit, with ∞ and 0 on both sides
+        rng = np.random.default_rng(11)
+        values = [None, 0j, -0.0 + 0j, 1.5 + 0.2j, -3.0 + 4j, 1e9 + 0j, 1e-3j,
+                  1e308 + 1e308j, 2.0 + 0j]
+        values += list(3 * rng.standard_normal(12) + 3j * rng.standard_normal(12))
+        zs = raw_array(values)
+        d = distance_matrix(zs, zs)
+        for j, b in enumerate(values):
+            assert np.array_equal(d[:, j], distances(zs, b))
+
+
+class TestInputChecksFirst:
+    def test_degree_budget_before_any_level(self, monkeypatch):
+        # 2^13 + 1 > 5000: no period is solved before the error
+        def no_solve(*args):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr("ratdyn.cycles.aberth", no_solve)
+        with pytest.raises(CycleError, match=r"degree budget exceeded: 2\^13 \+ 1 > 5000"):
+            find_cycles(parse_map("z^2"), 13)

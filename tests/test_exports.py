@@ -117,6 +117,23 @@ def test_jet_iteration_lives_in_ratmap():
     assert {module for module, _ in _owners(_calls("local_fraction"))} == {"residue"}
 
 
+def test_one_aberth_loop():
+    # kernel.aberth is the one Aberth loop: no other function applies the
+    # correction w / (1 - w s), and cycles solves all its periods in one call
+    def aberth_correction(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Constant) and node.left.value == 1
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult))
+
+    def calls_aberth(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "aberth")
+
+    assert _owners(aberth_correction) == {("kernel", "aberth")}
+    cycles = ast.parse((Path(ratdyn.__file__).parent / "cycles.py").read_text())
+    assert sum(map(calls_aberth, ast.walk(cycles))) == 1
+
+
 def test_no_unused_imports():
     # a name a module imports must be read in it (a name listed in
     # __all__ counts as read): the linter this package has

@@ -221,6 +221,10 @@ class TestTranscript:
         assert rows[0][3] == "w"  # |z| > 2 starts in the inverted chart
         assert rows[0][0] == 0 and isinstance(rows[1][1], float)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="orbit length"):
+            orbit_transcript_rows(parse_map("z^2 - 1"), 0.0, -3)
+
     def test_rows_through_infinity(self):
         f = parse_map("1/(z^2-1)")
         rows = orbit_transcript_rows(f, 1.0, 4)

@@ -115,6 +115,15 @@ class TestBudgetAndFlags:
         assert not est.reliable
         assert any("budget" in n for n in est.notes)
 
+    def test_negative_budget_rejected_before_any_region(self, monkeypatch):
+        def no_region(*args):
+            raise AssertionError("a region was built")
+
+        monkeypatch.setattr(residue, "disc_residue", no_region)
+        with pytest.raises(ResidueError, match="budget"):
+            dynamical_residue(parse_map("2*z"), FormDensity.parse("1/z"), kind="disc",
+                              budget=-5)
+
     def test_trace_rows(self):
         est = dynamical_residue(parse_map("2*z"), FormDensity.parse("1/z"),
                                 kind="disc", params=[0.2, 0.1])

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 expectation miss / inequality violation,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -22,7 +23,7 @@ from .corpus import _bind_params, corpus_run, load_corpus, parabolic_json, run_p
 from .cycles import analyze_cycles, load_annotations
 from .extjet import JetSpec, jet_e1
 from .orbits import DEFAULT_BUDGET, orbit_transcript_rows
-from .ratmap import RationalMap, SpherePoint, parse_map
+from .ratmap import MapError, RationalMap, SpherePoint, parse_map
 from .residue import QUAD_BUDGET, FormDensity, dynamical_residue, trace_csv_rows
 
 # every ratdyn input error (ParseError, MapError, CycleError, ParabolicError,
@@ -31,12 +32,16 @@ INPUT_ERRORS = (ValueError, OSError, KeyError)
 
 
 def _parse_complex(text):
-    """Parse a complex scalar: '0.25', '-1+2i', '1j', 'inf' not allowed here."""
+    """Parse a finite complex scalar: '0.25', '-1+2i', '1j'; not 'nan',
+    'inf' or a literal that overflows."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise ValueError(f"bad complex literal {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ValueError(f"bad complex literal {text!r}")
+    return value
 
 
 def _parse_point(text):
@@ -61,7 +66,9 @@ def _load_map(args):
     if args.map_file:
         with open(args.map_file) as fh:
             obj = json.load(fh)
-        if "map" in obj:
+        if isinstance(obj, dict) and "map" in obj:
+            if not isinstance(obj["map"], str):
+                raise MapError(f"map expression {obj['map']!r} is not a string")
             return parse_map(obj["map"], {**_bind_params(obj.get("params")), **params})
         return RationalMap.from_json(obj)
     if args.map:

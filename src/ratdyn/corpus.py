@@ -28,7 +28,7 @@ from .orbits import (
     epsilon_marks,
     regions_from_annotations,
 )
-from .ratmap import RationalMap, parse_map
+from .ratmap import MapError, RationalMap, parse_map
 
 FLOAT_TOL = 1e-9
 
@@ -46,7 +46,13 @@ def load_corpus(path=None):
 
 
 def _bind_params(params):
-    return {k: complex(v[0], v[1]) for k, v in (params or {}).items()}
+    """{name: complex} from the JSON object {name: [re, im]} (null for none)."""
+    params = {} if params is None else params
+    if not (isinstance(params, dict) and all(
+            isinstance(v, list) and len(v) == 2 and {type(x) for x in v} <= {int, float}
+            for v in params.values())):
+        raise MapError(f"map params {params!r} are not an object of [re, im] pairs")
+    return {k: complex(v[0], v[1]) for k, v in params.items()}
 
 
 def parabolic_json(cycles):

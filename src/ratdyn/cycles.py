@@ -22,15 +22,16 @@ iteration; it alone gives a zero a multiplicity above 1.
 All periods p = 1..P are solved together, so numpy's fixed cost is paid
 once per sweep, not once per period: one ``kernel.aberth`` loop runs one
 zero set per period, each with its own pairwise sums, and reads Phi at
-every active iterate from one jet iteration that steps each point its own
-p times (``RationalMap.local_jets`` with a step count per point), max(p)
-steps in all.  The orders at infinity, the residual check and the
+every active iterate from one jet iteration, max(p) steps in all.
+``aberth`` hands the jet the run of active iterates of each set, and the
+run of period p takes p steps (``RationalMap.local_jets`` with runs
+(count, start)).  The orders at infinity, the residual check and the
 multipliers at finite points read one such iteration each for all
-periods.  Every step is
-elementwise per point, so each period gets the bits of a solve of its own,
-and a period's ``CycleError`` is still raised before any error of a later
-one.  The degree budget d^P + 1 <= ``DEGREE_BUDGET`` is checked before any
-period is solved.
+periods, one run per period.  Every step is elementwise per point, so each
+period gets the bits of a solve of its own, and the first failing level's
+``CycleError`` is raised after the solved levels' orbits, as if solved
+alone.  The degree budget d^P + 1 <= ``DEGREE_BUDGET`` is checked before
+any period is solved.
 
 Exact periods are assigned by matching at ``SNAP_TOL`` against the zero
 sets of proper divisors -- never by deflation.  An orbit is assembled by
@@ -56,6 +57,7 @@ decides Siegel vs Cremer.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +112,9 @@ class Annotation:
     kind: RotationNumberBrjuno | RotationNumberLiouville | HermanRing | LattesFlag
     cycle: anchor of the annotated cycle (rotation kinds): None, an int
         index (not a bool), a point [re, im] or "inf"; from_json rejects others
-    period, annulus: Herman-ring data (invariant annulus [r_in, r_out])
+    period, annulus: Herman-ring data (invariant annulus [r_in, r_out]); a
+        Brjuno annotation's annulus is one disc radius; from_json rejects
+        any other shape and radii unless finite with 0 <= r_in <= r_out
     """
 
     kind: str
@@ -126,11 +130,17 @@ class Annotation:
                 or pair and {type(x) for x in anchor} <= {int, float}):
             raise CycleError(f"annotation anchor {anchor!r} is not null, an index, "
                              '[re, im] or "inf"')
+        radii = obj.get("annulus", ())
+        if not (isinstance(radii, (list, tuple)) and len(radii) <= 2
+                and all(type(r) in (int, float) and math.isfinite(r) for r in radii)
+                and all(a <= b for a, b in zip((0, *radii), radii))):
+            raise CycleError(f"annotation annulus {radii!r} is not [radius] or [r_in, r_out] "
+                             "with 0 <= r_in <= r_out")
         return cls(
             kind=obj["kind"],
             cycle=anchor,
             period=int(obj.get("period", 0)),
-            annulus=tuple(obj.get("annulus", ())),
+            annulus=tuple(radii),
         )
 
     def names(self, i, cycle):
@@ -153,6 +163,8 @@ def load_annotations(obj):
     if obj is None:
         return []
     items = obj.get("annotations", obj) if isinstance(obj, dict) else obj
+    if not (isinstance(items, list) and all(isinstance(it, dict) for it in items)):
+        raise CycleError(f"annotations {items!r} are not a list of objects")
     return [Annotation.from_json(it) for it in items]
 
 
@@ -200,68 +212,59 @@ _ORDER_TOL = 1e-12
 _PULLBACK_TARGET = 0.3 + 0.2j  # a generic point whose preimages seed Aberth
 
 
-class _FixedPointForm:
-    """Phi = Y Z_p - X W_p for f^p, on Taylor jets, through the homogeneous
-    iteration; p is a period, or an array of them with one per point."""
+def _phi_terms(f: RationalMap, t, k, n):
+    """Taylor coefficients of Phi = Y Z_n - X W_n for f^n about the raw
+    value t (orders 0..k-1 on axis 0; t an array of finite values, or None
+    for ∞), as its two terms (a, b), Phi = a - b, both divided by the same
+    factor per point; n a step count or runs (``RationalMap.iterate_jets``).
 
-    def __init__(self, f: RationalMap):
-        self.f = f
+    With (x : y) the iterate of (t + h : 1), or of (1 : h) at ∞, from
+    ``RationalMap.local_jets`` (x/y in the chart of t), Phi = x - (t + h) y,
+    or x - h y at ∞.
+    """
+    x, y = f.local_jets(t, k, n)
+    var = np.zeros_like(y)  # the jet of t + h, or h at ∞
+    var[0], var[1:2] = 0 if t is None else t, 1.0
+    return x, _jet_mul(var, y)
 
-    def terms(self, t, k, p):
-        """The two terms of Phi as Taylor jets about the raw value t (orders
-        on axis 0; t an array of finite values, or None for ∞).
 
-        With (x : y) the iterate of (t + h : 1), or of (1 : h) at ∞, from
-        ``RationalMap.local_jets`` (x/y in the chart of t), Phi = x - (t + h) y,
-        or x - h y at ∞.  Returns (a, b) with Phi = a - b, both divided by
-        the same factor per point.
-        """
-        x, y = self.f.local_jets(t, k, p)
-        var = np.zeros_like(y)  # the jet of t + h, or h at ∞
-        var[0], var[1:2] = 0 if t is None else t, 1.0
-        return x, _jet_mul(var, y)
+def _phi_taylor(f: RationalMap, x, k, n):
+    """t_0 .. t_k of Phi at one raw value x (or at ∞ once per run of n), up
+    to a factor, and their zero levels."""
+    a, b = _phi_terms(f, x, k + 1, n)
+    size = np.maximum.accumulate(np.maximum(np.abs(a), np.abs(b)))
+    return a - b, _ORDER_TOL * size
 
-    def jet(self, t, k, p):
-        """Taylor coefficients of Phi(t + h), orders 0..k-1 on axis 0, up to a factor per point."""
-        a, b = self.terms(t, k, p)
-        return a - b
 
-    def taylor(self, x, k, p):
-        """t_0 .. t_k of Phi at one raw value x (or at ∞ once per entry of
-        an array p), up to a factor, and their zero levels."""
-        a, b = self.terms(x, k + 1, p)
-        size = np.maximum.accumulate(np.maximum(np.abs(a), np.abs(b)))
-        return a - b, _ORDER_TOL * size
+def _orders_at_infinity(f: RationalMap, max_period):
+    """{p: order of Phi at infinity for f^p} for p = 1..max_period: 0 when
+    f^p moves it, None when Phi vanishes identically.
 
-    def orders_at_infinity(self, max_period):
-        """{p: order of Phi at infinity for f^p} for p = 1..max_period: 0
-        when f^p moves it, None when Phi vanishes identically.
-
-        The open periods share one jet iteration at ∞ per doubling of the
-        truncation, each reading at most its d^p + 2 coefficients; a
-        coefficient does not depend on the truncation, so each order is the
-        one its period finds alone."""
-        orders = dict.fromkeys(range(1, max_period + 1))
-        pending, k = list(orders), 2
-        while pending:
-            t, zero = self.taylor(None, k - 1, pending)
-            left = []
-            for i, p in enumerate(pending):
-                top = min(k, self.f.degree**p + 2)
-                above = np.flatnonzero(np.abs(t[:top, i]) > zero[:top, i])
-                if above.size:
-                    orders[p] = int(above[0])
-                elif top < self.f.degree**p + 2:
-                    left.append(p)
-            pending = left
-            k = min(2 * k, max((self.f.degree**p + 2 for p in pending), default=k))
-        return orders
+    The open periods share one jet iteration at ∞ per doubling of the
+    truncation, one run per period, each reading at most its d^p + 2
+    coefficients; a coefficient does not depend on the truncation, so each
+    order is the one its period finds alone."""
+    orders = dict.fromkeys(range(1, max_period + 1))
+    pending, k = list(orders), 2
+    while pending:
+        t, zero = _phi_taylor(f, None, k - 1, [(p, i) for i, p in enumerate(pending)])
+        left = []
+        for i, p in enumerate(pending):
+            top = min(k, f.degree**p + 2)
+            above = np.flatnonzero(np.abs(t[:top, i]) > zero[:top, i])
+            if above.size:
+                orders[p] = int(above[0])
+            elif top < f.degree**p + 2:
+                left.append(p)
+        pending = left
+        k = min(2 * k, max((f.degree**p + 2 for p in pending), default=k))
+    return orders
 
 
 def _preimages(num, den, v):
     """The d solutions w of num(w) = v den(w) for every target v, by batched Durand-Kerner."""
     d = len(num) - 1
-    # non-finite preimages are replaced in ``_Pullback.seeds``
+    # non-finite preimages are replaced in ``_seeds``
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = num[None, :] - v[:, None] * den[None, :]
         c = c / c[:, -1:]
@@ -281,85 +284,78 @@ def _preimages(num, den, v):
     return w.reshape(-1)
 
 
-class _Pullback:
-    """Preimages of one generic point under f, f^2, ... (each level computed once)."""
+def _seeds(f: RationalMap, counts):
+    """Aberth starting points for the fixed points of f^p, counts[p] of them
+    for each period p of counts (ascending), from the d^p preimages of one
+    generic point at depth p; the levels of preimages are walked once.
 
-    def __init__(self, f: RationalMap):
-        self.num, self.den = f.padded
-        self.levels = [np.array([_PULLBACK_TARGET], dtype=complex)]
-
-    def level(self, p):
-        while len(self.levels) <= p:
-            self.levels.append(_preimages(self.num, self.den, self.levels[-1]))
-        return self.levels[p]
-
-    def seeds(self, p, n):
-        """n Aberth starting points for the fixed points of f^p, from the d^p preimages at depth p.
-
-        Preimages of a point equidistribute on the Julia set as the periodic
-        points do, and the branch of f^-p along a repelling cycle contracts
-        onto it, so most seeds start next to a zero of Phi.  Non-finite
-        seeds (a preimage at infinity) go on a circle, the seeds closest to
-        infinity are dropped when infinity is a multiple zero, a missing
-        seed goes outside the rest, and a small fixed jitter separates
-        coincident ones.
-        """
-        v = self.level(p).copy()
-        rng = np.random.default_rng(12345)
+    Preimages of a point equidistribute on the Julia set as the periodic
+    points do, and the branch of f^-p along a repelling cycle contracts
+    onto it, so most seeds start next to a zero of Phi.  Non-finite seeds
+    (a preimage at infinity) go on a circle, the seeds closest to infinity
+    are dropped when infinity is a multiple zero, a missing seed goes
+    outside the rest, and a small fixed jitter separates coincident ones,
+    from one generator per period.
+    """
+    num, den = f.padded
+    level, seeds = np.array([_PULLBACK_TARGET], dtype=complex), []
+    for p in range(1, max(counts) + 1):
+        level = _preimages(num, den, level)
+        if p not in counts:
+            continue
+        n, v, rng = counts[p], level.copy(), np.random.default_rng(12345)
         bad = ~np.isfinite(v)
         v[bad] = np.exp(2j * np.pi * rng.random(int(np.sum(bad))))
         v = v[np.argsort(np.abs(v), kind="stable")][:n]
         if v.size < n:
             far = 1.0 + np.max(np.abs(v), initial=1.0)
             v = np.concatenate([v, far * np.exp(2j * np.pi * rng.random(n - v.size))])
-        return v + 1e-6 * np.maximum(1.0, np.abs(v)) * np.exp(2j * np.pi * rng.random(n))
+        seeds.append(v + 1e-6 * np.maximum(1.0, np.abs(v)) * np.exp(2j * np.pi * rng.random(n)))
+    return seeds
 
 
 def _fixed_points(f: RationalMap, max_period):
-    """The fixed points of f^p for p = 1..max_period, one level per p in
-    order: (finite fixed points, their multiplicities, order m of
-    infinity), or the ``CycleError`` of the first level that fails, which
-    ends the list.
+    """(levels, error): the fixed points of f^p for p = 1, 2, ... in order,
+    each level (finite fixed points, their multiplicities, order m of
+    infinity), up to max_period or to the first level that fails, whose
+    ``CycleError`` is error (None when every level is solved).
 
     Every level's Aberth iteration runs in one ``kernel.aberth`` call, its
-    Phi read for all levels by one jet iteration per sweep; the residuals
-    of all levels come from one more.
+    Phi read for all levels by one jet iteration per sweep, one run per
+    level; the residuals of all levels come from one more.
     """
-    form = _FixedPointForm(f)
-    orders = form.orders_at_infinity(max_period)
+    orders = _orders_at_infinity(f, max_period)
     periods = list(itertools.takewhile(lambda p: orders[p] is not None, orders))
     counts = {p: f.degree**p + 1 - orders[p] for p in periods}
-    solved = [p for p in periods if counts[p]]
+    counts = {p: n for p, n in counts.items() if n}  # the levels with finite zeros
     iterates = {}
-    if solved:
-        pullback, period = _Pullback(f), np.array(solved)
-        found, _ = aberth(lambda x, s: form.jet(x, 2, period[s]),
-                          [pullback.seeds(p, counts[p]) for p in solved])
-        iterates = dict(zip(solved, found))
-    roots, failed = {}, None
+    if counts:
+        found, _ = aberth(
+            lambda x, runs: np.subtract(*_phi_terms(f, x, 2, list(zip(counts, runs)))),
+            _seeds(f, counts))
+        iterates = dict(zip(counts, found))
+    roots, error = {}, None
     for p in periods:
         z = iterates.get(p, np.zeros(0, dtype=complex))
         if not np.all(np.isfinite(z)):
-            failed = CycleError(f"periodic-point iteration for f^{p} left the plane")
+            error = CycleError(f"periodic-point iteration for f^{p} left the plane")
             break
-        roots[p] = collapse_multiple_roots(z, lambda x, k: form.taylor(x, k, p))
+        roots[p] = collapse_multiple_roots(z, lambda x, k: _phi_taylor(f, x, k, p))
     z = np.array([r for p in roots for r, _ in roots[p]], dtype=complex)
-    steps = np.repeat(list(roots), [len(roots[p]) for p in roots])
-    res = np.abs(form.jet(z, 1, steps)[0])
+    ends = np.cumsum([0] + [len(roots[p]) for p in roots]).tolist()
+    res = np.abs(np.subtract(*_phi_terms(f, z, 1, list(zip(roots, ends))))[0])
     bound = ALGEBRAIC_TOL * np.maximum(1.0, np.abs(z))
     levels = []
-    for p in roots:
-        res_p, bound_p = res[steps == p], bound[steps == p]
-        if not np.all(res_p <= bound_p):
-            worst = float(np.max(res_p / bound_p))
-            return levels + [CycleError(
-                f"periodic points of f^{p} did not converge: residual {worst:.3e} times the bound"
-            )]
+    for p, lo, hi in zip(roots, ends, ends[1:]):
+        if not np.all(res[lo:hi] <= bound[lo:hi]):
+            worst = float(np.max(res[lo:hi] / bound[lo:hi]))
+            return levels, CycleError(
+                f"periodic points of f^{p} did not converge: residual {worst:.3e} times the bound")
         z_p, mult = zip(*by_position(roots[p])) if roots[p] else ((), ())
         levels.append((np.array(z_p, dtype=complex), np.array(mult, dtype=int), orders[p]))
-    if failed is None and len(periods) < max_period:
-        failed = CycleError(f"f^{len(periods) + 1} is the identity; periodic points are not isolated")
-    return levels + [failed] if failed else levels
+    if error is None and len(periods) < max_period:
+        error = CycleError(f"f^{len(periods) + 1} is the identity; periodic points are not isolated")
+    return levels, error
 
 
 def _divisors(p):
@@ -424,10 +420,9 @@ def find_cycles(f: RationalMap, max_period):
         raise CycleError(
             f"degree budget exceeded: {f.degree}^{max_period} + 1 > {DEGREE_BUDGET}"
         )
-    levels = _fixed_points(f, max_period)
-    solved = [level for level in levels if not isinstance(level, CycleError)]
+    levels, error = _fixed_points(f, max_period)
     values, zs, new = [], [], []  # per level: the fixed points, their raw_array, the exact ones
-    for p, (z, _, m_inf) in enumerate(solved, 1):
+    for p, (z, _, m_inf) in enumerate(levels, 1):
         values.append([complex(zi) for zi in z] + ([None] if m_inf else []))
         zs.append(raw_array(values[-1]))
         # a point of exact period p is none of the fixed points of f^q, q | p
@@ -437,21 +432,22 @@ def find_cycles(f: RationalMap, max_period):
             seen = np.any(distance_matrix(zs[-1], np.hstack(old)) <= SNAP_TOL, axis=1)
         new.append(~seen)
     # (f^p)' at each new finite point, in its local coordinate: one jet
-    # iteration for every level
-    finite = [z[new[p - 1][: len(z)]] for p, (z, _, _) in enumerate(solved, 1)]
-    steps = np.repeat(np.arange(1, len(finite) + 1), [len(z) for z in finite])
-    lam = f.multiplier(np.concatenate([np.zeros(0, dtype=complex)] + finite), steps)
+    # iteration for every level, one run per level
+    finite = [z[new[p - 1][: len(z)]] for p, (z, _, _) in enumerate(levels, 1)]
+    ends = np.cumsum([0] + [len(z) for z in finite]).tolist()
+    lam = f.multiplier(np.concatenate([np.zeros(0, dtype=complex)] + finite),
+                       list(enumerate(ends[:-1], 1)))
     cycles = []
-    for p, level in enumerate(levels, 1):
-        if isinstance(level, CycleError):
-            raise level
+    for p, (lo, hi) in enumerate(zip(ends, ends[1:]), 1):
         # ∞ is new at one level only, its exact period
-        at_inf = [f.multiplier(None, p)] if level[2] and new[p - 1][-1] else []
-        lam_p = np.concatenate([lam[steps == p], at_inf])
+        at_inf = [f.multiplier(None, p)] if levels[p - 1][2] and new[p - 1][-1] else []
+        lam_p = np.concatenate([lam[lo:hi], at_inf])
         if not np.all(np.isfinite(lam_p)):
             raise CycleError(f"a multiplier of f^{p} is not finite")
         exact = [v for v, ok in zip(values[p - 1], new[p - 1]) if ok]
         cycles += _orbits(f, p, exact, zs[p - 1][:, new[p - 1]], lam_p)
+    if error is not None:
+        raise error
     cycles.sort(key=Cycle.sort_key)
     return cycles
 

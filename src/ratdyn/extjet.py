@@ -87,20 +87,6 @@ def _jet_matrix(g: TruncatedSeries, N):
     return np.stack(cols, axis=1)
 
 
-def jet_e1_series(g_order_M, N, pad=None):
-    """(kernel_dim, cokernel_dim) of the jet equalizer from a local series.
-
-    g_order_M must be truncated at order >= N + pad.
-    """
-    if pad is None:
-        pad = max(N, 4)
-    M = N + pad
-    if g_order_M.order < M:
-        raise ValueError(f"series order {g_order_M.order} below required {M}")
-    a_m = _jet_matrix(g_order_M, M)
-    return _dims(a_m, nullspace(_colnorm(a_m)), N)
-
-
 def _dims(a_m, null, n):
     """(kernel_dim, cokernel_dim) at order n <= M from the deep matrix A_M and
     its null space.  The leading (n+1) x (n+1) block of A_M is A_n (jets of

@@ -293,29 +293,28 @@ def aberth(jet, sets):
     """Aberth iteration on the zeros of several functions at once, each from
     its own array of starting points in ``sets``.
 
-    ``jet(x, s)`` gives the value and derivative at the points x, each up
-    to the same nonzero factor per point, where s[i] is the index in
-    ``sets`` of the function x[i] belongs to.  Each set keeps its own
-    pairwise sums, run in row blocks so memory stays O(n * block), and
-    every other step is elementwise, so a set's iterates move exactly as
-    when it is solved alone.  Each iterate stops on its own step.  Returns
-    the iterates of each set and whether every one of them stopped.
+    ``jet(x, runs)`` gives the value and derivative at the points x, each
+    up to the same nonzero factor per point, where the points of set j are
+    x[runs[j]:runs[j+1]].  Each set keeps its own pairwise sums, run in row
+    blocks so memory stays O(n * block), and every other step is
+    elementwise, so a set's iterates move exactly as when it is solved
+    alone.  Each iterate stops on its own step.  Returns the iterates of
+    each set and whether every one of them stopped.
     """
     sizes = [len(x) for x in sets]
     bounds = np.cumsum([0] + sizes).tolist()
     blocks = [(lo, lo + n, max(1, _PAIR_BLOCK // max(n, 1))) for lo, n in zip(bounds, sizes)]
     z = np.concatenate(sets)
-    label = np.repeat(np.arange(len(sets)), sizes)
     active = np.arange(z.size)
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ITER):
             za = z[active]
-            val, der = jet(za, label[active])
+            # each set's active iterates are one run of active (both ascend)
+            runs = np.searchsorted(active, bounds).tolist()
+            val, der = jet(za, runs)
             der = np.where(der == 0, 1e-300, der)
             w = val / der
             s = np.empty(active.size, dtype=complex)
-            # each set's active iterates are one run of active (both ascend)
-            runs = np.searchsorted(active, bounds).tolist()
             for (lo, hi, rows), a0, a1 in zip(blocks, runs, runs[1:]):
                 for b in range(a0, a1, rows):
                     idx = active[b : min(b + rows, a1)]

@@ -9,15 +9,15 @@ u = z - z0, or u = 1/z when z0 is infinity (``local_coord``, ``local_pair``,
 ``RationalMap.local_jets``).  Both rules act on raw values (a Python
 ``complex``, or ``None`` for infinity), so orbit loops run on raw values
 and a ``SpherePoint`` carries one in ``value``.  Their array forms
-(``snap_keys``, ``distances``, ``distance_matrix``, ``local_coords``,
-``moduli``) take the (z, w) arrays of ``raw_array``, whose reciprocal w is
-computed once per array, and round exactly as the scalar rules do, so a
-block of iterates is judged as the iterates one by one.
+(``snap_keys``, ``distance_matrix``, ``local_coords``, ``moduli``) take
+the (z, w) arrays of ``raw_array``, whose reciprocal w is computed once per
+array, and round exactly as the scalar rules do, so a block of iterates is
+judged as the iterates one by one.
 
 A finite value whose modulus overflows a double lies beyond radius 2:
 ``chart_coords`` and the orbit kernel put it in the w chart, ``distance``
-measures it as ``distances`` does (inf where a modulus overflows), and no
-rule raises on it.
+measures it as ``distance_matrix`` does (inf where a modulus overflows), and
+no rule raises on it.
 
 Orbits run through one orbit kernel per map (``RationalMap.iterate``): a
 function, generated for the coefficient pattern of the map's Horner tuples
@@ -30,8 +30,8 @@ Taylor expansions of the iterates f^n have one home as well:
 ``RationalMap.iterate_jets`` steps a pair of Taylor jets (x : y) through
 the homogenized map, so an orbit through infinity needs no chart switch.
 ``RationalMap.local_jets`` seeds it with the jets of a point in its local
-coordinate (a step count per point lets one call serve several iterates),
-and ``cycles``, ``parabolic``, ``extjet``,
+coordinate (runs (count, start) of step counts let one call serve several
+iterates), and ``cycles``, ``parabolic``, ``extjet``,
 ``compose_self_homogeneous`` and the multipliers (``RationalMap.multiplier``,
 the first-order jet of f^n: a cycle's (f^p)' needs no chart) read f^n from
 it.  ``RationalMap.wronskian`` is num' den - num den', whose zeros are the
@@ -125,23 +125,11 @@ def _modulus(u):
         return math.inf
 
 
-@np.errstate(over="ignore")  # a difference that overflows is inf, as in ``distance``
-def distances(zs, b):
-    """``distance`` from each entry of a ``raw_array`` to the raw value b."""
-    z, w = zs
-    inf = np.isnan(z.real)
-    d = np.full(z.shape, np.inf) if b is None else np.where(inf, np.inf, _hypot(z - b))
-    if b != 0:
-        dw = _hypot(w - (0j if b is None else 1.0 / b))
-        d = np.where((z != 0) & (dw < d), dw, d)
-    return d
-
-
 @np.errstate(over="ignore")
 def distance_matrix(zs, bs):
     """``distance`` from each entry of the ``raw_array`` zs (rows) to each
-    entry of the ``raw_array`` bs (columns): column j rounds as
-    ``distances(zs, b_j)``, at ∞ and 0 too."""
+    entry of the ``raw_array`` bs (columns), rounded as the scalar rule, at
+    ∞ and 0 too."""
     (z, w), (bz, bw) = zs[:, :, None], bs[:, None, :]
     d = _hypot(z - bz)
     d[np.isnan(z.real) | np.isnan(bz.real)] = np.inf
@@ -156,9 +144,8 @@ def moduli(u):
 
 
 def _hypot(u):
-    """``moduli`` in the caller's error state: ``distances`` and
-    ``distance_matrix`` set the state once for their two moduli (a setting
-    costs about 1.5 µs)."""
+    """``moduli`` in the caller's error state: ``distance_matrix`` sets the
+    state once for its two moduli (a setting costs about 1.5 µs)."""
     return np.hypot(u.real, u.imag)
 
 
@@ -386,20 +373,6 @@ def _jet_step(num, den, x, y):
     return x / s, y / s  # not in place: the pair may alias the input jets
 
 
-def _staggered_jets(num, den, x, y, n):
-    """``RationalMap.iterate_jets`` with n[i] steps for the point on axis 1
-    at i, the counts non-decreasing: each point is frozen after its own
-    count, so its jets are the bits of a call with its count alone (each
-    step is elementwise per point)."""
-    if np.any(n[1:] < n[:-1]):
-        raise ValueError("per-point step counts must be non-decreasing")
-    x, y = x.copy(), y.copy()
-    # at step i + 1, lo is the number of points of at most i steps
-    for lo in np.cumsum(np.bincount(n, minlength=1))[:-1].tolist():
-        x[:, lo:], y[:, lo:] = _jet_step(num, den, x[:, lo:], y[:, lo:])
-    return x, y
-
-
 def local_pair(num, den, z0):
     """(A, B): the fraction num/den pulled back to the local coordinate u
     about the raw value z0 (``local_coord``), A(u)/B(u) = num(z)/den(z):
@@ -489,26 +462,32 @@ class RationalMap:
         every step: a factor common to the coefficients of a point, so
         ratios keep their values and nothing overflows.
 
-        n is a step count, or a non-decreasing array of them, one per point
-        on axis 1, each point frozen after its own count (``_staggered_jets``)."""
+        n is a step count, or runs (count, start) with non-decreasing
+        counts: the points x[..., start:] take the steps up to count, so a
+        point gets the bits of a call with its own run's count alone (each
+        step is elementwise per point)."""
         num, den = self.padded
-        if np.ndim(n):
-            return _staggered_jets(num, den, x, y, np.asarray(n, dtype=int))
-        for _ in range(n):
-            x, y = _jet_step(num, den, x, y)
+        x, y = x.copy(), y.copy()
+        done = 0
+        for count, start in n if isinstance(n, list) else [(n, 0)]:
+            if count < done:
+                raise ValueError("step counts must be non-negative and non-decreasing")
+            for _ in range(done, count):
+                x[..., start:], y[..., start:] = _jet_step(num, den, x[..., start:], y[..., start:])
+            done = count
         return x, y
 
     def local_jets(self, z0, k, n):
         """The n-th homogeneous iterate (x : y) (``iterate_jets``; n a step
-        count or a non-decreasing array of them, one per point) of the jets, orders
-        0..k-1 on axis 0, of a point in its local coordinate u about the
-        raw value z0: (z0 + u : 1) for finite z0 (an array of them on the
-        further axes), (1 : u) when z0 is None (∞, once per entry of an
-        array n).  The pair comes swapped at ∞, so x/y is the image in the
-        chart of z0: its z for finite z0, its 1/z at ∞."""
+        count or runs) of the jets, orders 0..k-1 on axis 0, of a point in
+        its local coordinate u about the raw value z0: (z0 + u : 1) for
+        finite z0 (an array of them on the further axes), (1 : u) when z0
+        is None (∞, one point per run).  The pair comes swapped at ∞, so
+        x/y is the image in the chart of z0: its z for finite z0, its 1/z
+        at ∞."""
         if z0 is None:
             x, y = np.eye(2, k, dtype=complex)
-            if np.ndim(n):
+            if isinstance(n, list):
                 x, y = (np.repeat(e[:, None], len(n), axis=1) for e in (x, y))
             x, y = self.iterate_jets(x, y, n)
             return y, x

@@ -281,6 +281,55 @@ class TestPipelines:
         assert json.loads(err)["error"] == error
         assert not (tmp_path / "raster.ppm").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("ext", "--map", "z^2", "--point", "nan"),
+        ("ext", "--map", "z^2", "--point", "1e400"),
+        ("ext", "--map", "z^2", "--point", "-inf"),
+        ("residue", "--map", "z^2", "--form", "1/z", "--family", "disc", "--center", "1e400"),
+        ("tails", "--map", "z^2-1", "--max-period", "1", "--orbit-csv", "{tmp}/o.csv",
+         "--orbit-from", "1e400"),
+        ("cycles", "--map", "z^2 + c", "--param", "c=nan", "--max-period", "1"),
+        ("parse", "--map", "z^2 + c", "--param", "c=1e400i"),
+    ])
+    def test_non_finite_literal_exits_2(self, capsys, tmp_path, argv):
+        # inf is the one spelling of ∞, and only where a point is read
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.json"))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        obj = json.loads(err)
+        assert obj["error"] == "ValueError" and "bad complex literal" in obj["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,doc,error", [
+        ("--annot", {"annotations": [{"kind": "HermanRing", "period": 1, "annulus": 5}]},
+         "CycleError"),
+        ("--annot", {"annotations": [{"kind": "HermanRing", "period": 1, "annulus": [None, 1]}]},
+         "CycleError"),
+        ("--annot", {"annotations": [{"kind": "HermanRing", "period": 1, "annulus": [2, 1]}]},
+         "CycleError"),
+        ("--annot", {"annotations": [{"kind": "RotationNumberBrjuno", "annulus": [-1]}]},
+         "CycleError"),
+        ("--annot", {"annotations": [3]}, "CycleError"),
+        ("--annot", {"annotations": 3}, "CycleError"),
+        ("--map-file", {"map": 5}, "MapError"),
+        ("--map-file", 5, "MapError"),
+        ("--map-file", {"map": "z^2 + c", "params": {"c": 5}}, "MapError"),
+        ("--map-file", {"map": "z^2 + c", "params": {"c": [1]}}, "MapError"),
+        ("--map-file", {"map": "z^2 + c", "params": [1, 2]}, "MapError"),
+    ])
+    def test_malformed_json_input_exits_2(self, capsys, tmp_path, flag, doc, error):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        argv = ["count", "--max-period", "1", flag, str(path), "--out", str(tmp_path / "o.json")]
+        if flag == "--annot":
+            argv += ["--map", "z^2 - 1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == error
+        assert not (tmp_path / "o.json").exists()
+
     def test_cycles_degree_budget_exits_2_first(self, capsys):
         # d^p + 1 > 5000 is an input error, raised before any period is solved
         code, out, err = run_cli(capsys, "cycles", "--map", "z^2", "--max-period", "13")

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ratdyn.corpus import check_entry, corpus_run, load_corpus, run_entry
+from ratdyn.corpus import _bind_params, check_entry, corpus_run, load_corpus, run_entry
+from ratdyn.cycles import load_annotations
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +104,11 @@ def test_a_renamed_copy_reads_its_own_data(tmp_path, monkeypatch):
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == "ratdyn_copy"]:
             del sys.modules[name]
+
+
+def test_corpus_inputs_pass_validation(corpus):
+    # every packaged entry's params and annotations have the validated shapes
+    for entry in corpus:
+        assert set(_bind_params(entry.get("params"))) == set(entry.get("params", {}))
+        assert len(load_annotations(entry.get("annotations", []))) == len(
+            entry.get("annotations", []))

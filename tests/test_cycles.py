@@ -23,8 +23,9 @@ from ratdyn.cycles import (
     find_cycles,
     _divisors,
     _fixed_points,
-    _FixedPointForm,
-    _Pullback,
+    _phi_taylor,
+    _phi_terms,
+    _seeds,
     load_annotations,
 )
 from ratdyn.kernel import Polynomial, aberth, by_position, collapse_multiple_roots
@@ -35,7 +36,6 @@ from ratdyn.ratmap import (
     chart_coords,
     distance,
     distance_matrix,
-    distances,
     parse_map,
     raw_array,
 )
@@ -259,7 +259,7 @@ class TestIteratedMapRoots:
 
     def test_triple_root_at_zero(self):
         f = parse_map("z + z^3")
-        [([pt], [m], _)] = _fixed_points(f, 1)
+        [([pt], [m], _)], _ = _fixed_points(f, 1)
         assert m == 3 and abs(pt) < 1e-12
 
     def test_parabolic_two_cycle_collapses_onto_fixed_point(self):
@@ -329,7 +329,7 @@ class TestIteratedMapRoots:
         den = Polynomial(dcoef)
         cubic = Polynomial([-a, 1]) ** 2 * Polynomial([-b, 1])
         f = RationalMap(Polynomial([0, 1]) * den - dcoef[2] * cubic, den)
-        [(z, mult, _)] = _fixed_points(f, 1)
+        [(z, mult, _)], _ = _fixed_points(f, 1)
         found = sorted(zip(z, mult), key=lambda pm: abs(pm[0] - a))
         assert [m for _, m in found] == [2, 1]
         assert abs(found[0][0] - a) < 1e-9
@@ -351,10 +351,11 @@ def test_vectorized_distance_matches_ratmap():
     zs = raw_array(values)
     for q in values + [2.5 - 1j]:
         want = np.array([distance(v, q) for v in values])
-        got = distances(zs, q)
+        got = distance_matrix(zs, raw_array([q]))[:, 0]
         assert np.array_equal(got, want)
         # the divisor-level test: each stored value against a one-point level
-        near = [distances(raw_array([q]), v)[0] <= SNAP_TOL for v in values]
+        near = [distance_matrix(raw_array([q]), raw_array([v]))[0, 0] <= SNAP_TOL
+                for v in values]
         assert near == list(want <= SNAP_TOL)
 
 
@@ -376,12 +377,12 @@ def test_evaluate_matches_chart_formula(expr):
 # -- the joint solve against the per-period one --------------------------------
 
 
-def per_period_fixed_points(f, p, pullback):
+def per_period_fixed_points(f, p):
     """The fixed points of f^p solved alone, as before the joint solve: its
     own order at infinity, Aberth loop and residual check."""
-    form, degree, k = _FixedPointForm(f), f.degree**p + 1, 2
+    degree, k = f.degree**p + 1, 2
     while True:
-        t, zero = form.taylor(None, k - 1, p)
+        t, zero = _phi_taylor(f, None, k - 1, p)
         above = np.flatnonzero(np.abs(t) > zero)
         if above.size:
             m_inf = int(above[0])
@@ -392,12 +393,12 @@ def per_period_fixed_points(f, p, pullback):
     n = degree - m_inf
     if n == 0:
         return np.zeros(0, dtype=complex), m_inf
-    [z], _ = aberth(lambda x, _: form.jet(x, 2, p), [pullback.seeds(p, n)])
+    [z], _ = aberth(lambda x, _: np.subtract(*_phi_terms(f, x, 2, p)), _seeds(f, {p: n}))
     if not np.all(np.isfinite(z)):
         raise CycleError(f"periodic-point iteration for f^{p} left the plane")
-    roots = collapse_multiple_roots(z, lambda x, k: form.taylor(x, k, p))
+    roots = collapse_multiple_roots(z, lambda x, k: _phi_taylor(f, x, k, p))
     z = np.array([r for r, _ in roots], dtype=complex)
-    res = np.abs(form.jet(z, 1, p)[0])
+    res = np.abs(np.subtract(*_phi_terms(f, z, 1, p))[0])
     bound = ALGEBRAIC_TOL * np.maximum(1.0, np.abs(z))
     if not np.all(res <= bound):
         worst = float(np.max(res / bound))
@@ -408,19 +409,15 @@ def per_period_fixed_points(f, p, pullback):
 
 def per_period_cycles(f, max_period):
     """find_cycles one period at a time, matching each image against the
-    points with one ``distances`` call per point."""
-    levels, cycles, pullback = {}, [], _Pullback(f)
+    points with one scalar ``distance`` per pair."""
+    levels, cycles = {}, []
     for p in range(1, max_period + 1):
-        z, m_inf = per_period_fixed_points(f, p, pullback)
+        z, m_inf = per_period_fixed_points(f, p)
         values = [complex(zi) for zi in z] + ([None] if m_inf else [])
         levels[p] = values
-        zs = raw_array(values)
-        seen = np.zeros(len(values), dtype=bool)
-        for q in _divisors(p):
-            for v in levels[q]:
-                seen |= distances(zs, v) <= SNAP_TOL
+        seen = np.array([any(distance(v, u) <= SNAP_TOL for q in _divisors(p) for u in levels[q])
+                         for v in values], dtype=bool)
         exact = [v for v, old in zip(values, seen) if not old]
-        zs = zs[:, ~seen]
         at_inf = [f.multiplier(None, p)] if m_inf and not seen[-1] else []
         lam = np.concatenate([f.multiplier(z[~seen[: len(z)]], p), at_inf])
         if not np.all(np.isfinite(lam)):
@@ -433,7 +430,7 @@ def per_period_cycles(f, max_period):
             orbit = [start]
             for _ in range(p - 1):
                 image = f.step(orbit[-1])
-                d = distances(zs, image)
+                d = np.array([distance(v, image) for v in exact])
                 d[used] = np.inf
                 j = int(np.argmin(d))
                 if d[j] > SNAP_TOL:
@@ -495,35 +492,48 @@ class TestJointSolveMatchesPerPeriod:
 
     @pytest.mark.parametrize("expr", ["z^2 + 0.3+0.2i", LATTES, "z + 1/z"])
     def test_local_jets_per_point_counts(self, expr):
-        # a count per point gives each point the bits of a call with its
-        # count alone, at ∞ too; unsorted counts are refused
+        # runs (count, start) give each point the bits of a call with its
+        # run's count alone: equal counts, empty runs in the middle and at
+        # the end, ∞ with one point per run; decreasing counts are refused
         f = parse_map(expr)
         rng = np.random.default_rng(5)
         z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        counts = np.sort(rng.integers(0, 5, 40))
+        cases = [
+            [(2, 0), (2, 10), (3, 25)],
+            [(0, 0), (1, 7), (2, 7), (4, 20), (5, 40)],
+            [(1, 0), (3, 40), (4, 40)],
+        ]
         for k in (1, 2, 4):
-            x, y = f.local_jets(z, k, counts)
-            for c in range(5):
-                want = f.local_jets(z[counts == c], k, c)
-                assert np.array_equal(x[:, counts == c], want[0])
-                assert np.array_equal(y[:, counts == c], want[1])
-            x, y = f.local_jets(None, k, counts)
+            for runs in cases:
+                x, y = f.local_jets(z, k, runs)
+                ends = [start for _, start in runs[1:]] + [len(z)]
+                for (count, lo), hi in zip(runs, ends):
+                    want = f.local_jets(z[lo:hi], k, count)
+                    assert np.array_equal(x[:, lo:hi], want[0])
+                    assert np.array_equal(y[:, lo:hi], want[1])
+            counts = [0, 1, 1, 3, 4]
+            x, y = f.local_jets(None, k, [(c, i) for i, c in enumerate(counts)])
             for i, c in enumerate(counts):
-                want = f.local_jets(None, k, int(c))
+                want = f.local_jets(None, k, c)
                 assert np.array_equal(x[:, i], want[0]) and np.array_equal(y[:, i], want[1])
+        # an int count on 1-D jets is the one-run case
+        x0, y0 = np.array([1, 1, 0], dtype=complex), np.array([1, 0, 0], dtype=complex)
+        x, y = f.iterate_jets(x0, y0, 3)
+        want = f.iterate_jets(x0[:, None], y0[:, None], [(3, 0)])
+        assert np.array_equal(x, want[0][:, 0]) and np.array_equal(y, want[1][:, 0])
+        assert x0.tolist() == [1, 1, 0] and y0.tolist() == [1, 0, 0]  # inputs unwritten
         with pytest.raises(ValueError, match="non-decreasing"):
-            f.local_jets(z[:2], 2, [1, 0])
+            f.local_jets(z[:2], 2, [(1, 0), (0, 1)])
 
     def test_distance_matrix_matches_distances(self):
-        # column j is distances(zs, b_j), bit for bit, with ∞ and 0 on both sides
+        # every entry is the scalar distance, bit for bit, with ∞ and 0 on both sides
         rng = np.random.default_rng(11)
         values = [None, 0j, -0.0 + 0j, 1.5 + 0.2j, -3.0 + 4j, 1e9 + 0j, 1e-3j,
                   1e308 + 1e308j, 2.0 + 0j]
         values += list(3 * rng.standard_normal(12) + 3j * rng.standard_normal(12))
-        zs = raw_array(values)
-        d = distance_matrix(zs, zs)
-        for j, b in enumerate(values):
-            assert np.array_equal(d[:, j], distances(zs, b))
+        d = distance_matrix(raw_array(values), raw_array(values))
+        want = [[distance(a, b) for b in values] for a in values]
+        assert d.tolist() == want
 
 
 class TestInputChecksFirst:

@@ -134,6 +134,39 @@ def test_one_aberth_loop():
     assert sum(map(calls_aberth, ast.walk(cycles))) == 1
 
 
+def _function(module, name):
+    """The ast node of the function named name in the package module."""
+    tree = ast.parse((Path(ratdyn.__file__).parent / f"{module}.py").read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_jet_runs_arrive_from_aberth():
+    # kernel.aberth hands the jet its set runs, and RationalMap.iterate_jets
+    # steps each run's tail in its one loop: no per-point labels or counts
+    def calls_jet_step(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_jet_step"
+
+    assert _owners(calls_jet_step) == {("ratmap", "iterate_jets")}
+    assert not any(getattr(node, "attr", None) == "repeat"
+                   for node in ast.walk(_function("kernel", "aberth")))
+
+
+def test_cycles_has_no_wrapper_classes():
+    # the fixed-point form and the preimage seeds are functions of the map
+    tree = ast.parse((Path(ratdyn.__file__).parent / "cycles.py").read_text())
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"Annotation", "Cycle", "CycleError"}
+
+
+def test_no_per_point_distance_rule():
+    # ratmap.distance_matrix is the array form of the chart distance
+    def defines_distances(node):
+        return isinstance(node, ast.FunctionDef) and node.name == "distances"
+
+    assert _owners(defines_distances) == set()
+
+
 def test_no_unused_imports():
     # a name a module imports must be read in it (a name listed in
     # __all__ counts as read): the linter this package has

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ratdyn.extjet import JetSpec, global_e1, jet_e1, jet_e1_series
+from ratdyn.extjet import JetSpec, global_e1, jet_e1
 from ratdyn.ratmap import MapError, RationalMap, parse_map
-from ratdyn.series import TruncatedSeries
 
 from conftest import coeff_or_zero, finite_complex
 
@@ -94,9 +93,3 @@ class TestSuperattracting:
             ker, coker, _ = jet_e1(f, spec)
             dims.append(coker)
         assert set(dims) == {n - 1}
-
-    def test_series_entry_point(self):
-        # same computation fed a raw local series rather than a map
-        g = TruncatedSeries([0, 0, 1], order=16)  # z^2 locally
-        ker, coker = jet_e1_series(g, 6)
-        assert coker == 1

@@ -23,7 +23,7 @@ from ratdyn.ratmap import (
     SpherePoint,
     chart_coords,
     distance,
-    distances,
+    distance_matrix,
     local_coord,
     local_coords,
     local_pair,
@@ -85,7 +85,7 @@ class TestSpherePoint:
             assert (chart_bit[k], re[k] - 2**30, im[k] - 2**30) == (
                 int(chart == "w"), round(c.real / SNAP_TOL), round(c.imag / SNAP_TOL))
         for b in (0j, 0.3 - 1.1j, 40.0, None):
-            d, u = distances(zs, b), local_coords(zs, b)
+            d, u = distance_matrix(zs, raw_array([b]))[:, 0], local_coords(zs, b)
             m = moduli(u)
             for k, v in enumerate(raw):
                 assert d[k] == distance(v, b)
@@ -470,7 +470,7 @@ class TestOverflowingModulus:
     def test_distance_is_the_array_rule(self):
         zs = raw_array([self.big, Z_TINY])
         for b in (0j, 1.0 + 0j, None, -self.big, -Z_TINY):
-            assert distances(zs, b).tolist() == [distance(self.big, b), distance(Z_TINY, b)]
+            assert distance_matrix(zs, raw_array([b]))[:, 0].tolist() == [distance(self.big, b), distance(Z_TINY, b)]
         assert distance(self.big, 0j) == math.inf  # |big - 0| overflows; 0 has no w
         assert distance(Z_TINY, None) == math.inf  # |1/Z_TINY - 0| overflows
         assert distance(self.big, 1.0) == 1.0  # |w - 1| with w = ±0
@@ -482,7 +482,7 @@ class TestOverflowingModulus:
             assert moduli(zs[0]).tolist() == [math.inf, abs(Z_TINY)]
             assert (snap_keys(zs) >> 62).tolist() == [1, 0]
             for b in (None, -self.big, -Z_TINY):
-                distances(zs, b)
+                distance_matrix(zs, raw_array([b]))[:, 0]
 
 
 class TestHomogeneousIterate:

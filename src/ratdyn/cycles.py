@@ -114,7 +114,8 @@ class Annotation:
         index (not a bool), a point [re, im] or "inf"; from_json rejects others
     period, annulus: Herman-ring data (invariant annulus [r_in, r_out]); a
         Brjuno annotation's annulus is one disc radius; from_json rejects
-        any other shape and radii unless finite with 0 <= r_in <= r_out
+        any other kind, a period but a non-negative int (not a bool), any
+        other annulus shape and radii unless finite with 0 <= r_in <= r_out
     """
 
     kind: str
@@ -124,6 +125,12 @@ class Annotation:
 
     @classmethod
     def from_json(cls, obj):
+        if obj.get("kind") not in ("RotationNumberBrjuno", "RotationNumberLiouville",
+                                   "HermanRing", "LattesFlag"):
+            raise CycleError(f"annotation kind {obj.get('kind')!r} is not one of the four kinds")
+        period = obj.get("period", 0)
+        if not (type(period) is int and period >= 0):
+            raise CycleError(f"annotation period {period!r} is not a non-negative integer")
         anchor = obj.get("cycle")
         pair = isinstance(anchor, (list, tuple)) and len(anchor) == 2
         if not (anchor in (None, "inf") or type(anchor) is int
@@ -136,12 +143,7 @@ class Annotation:
                 and all(a <= b for a, b in zip((0, *radii), radii))):
             raise CycleError(f"annotation annulus {radii!r} is not [radius] or [r_in, r_out] "
                              "with 0 <= r_in <= r_out")
-        return cls(
-            kind=obj["kind"],
-            cycle=anchor,
-            period=int(obj.get("period", 0)),
-            annulus=tuple(radii),
-        )
+        return cls(obj["kind"], anchor, period, tuple(radii))
 
     def names(self, i, cycle):
         """The point of cycle (index i of the sorted cycle list) that this

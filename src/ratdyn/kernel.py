@@ -2,9 +2,9 @@
 
 Everything here is plain dense complex arithmetic at float64.  Tolerances are
 pinned (relative algebraic tolerance 1e-9, multiple-root grouping radius
-1e-3, trimming tolerance 1e-12) so results are reproducible.  A root has
-multiplicity above 1 only when ``collapse_multiple_roots`` certifies it, or
-when it is an exact zero at the origin.
+1e-3) so results are reproducible.  A root has multiplicity above 1 only
+when ``collapse_multiple_roots`` certifies it, or when it is an exact zero
+at the origin.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 ALGEBRAIC_TOL = 1e-9
-TRIM_TOL = 1e-12
 
 
 class KernelError(ValueError):
@@ -98,18 +97,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial([1.0])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def derivative(self):
         if self.degree == 0:
             return Polynomial([0])
@@ -140,21 +127,6 @@ class Polynomial:
             out[j] = q[0]
             q = q[1:]
         return Polynomial(out)
-
-    def deflated(self, root):
-        """The quotient of self by (z - root), remainder dropped."""
-        return Polynomial(ruffini(self.coeffs, root)[1:])
-
-    def trimmed(self):
-        """Drop trailing coefficients at most TRIM_TOL times the max magnitude."""
-        if self.is_zero:
-            return self
-        thr = TRIM_TOL * self.scale()
-        c = self.coeffs.copy()
-        k = len(c) - 1
-        while k > 0 and abs(c[k]) <= thr:
-            k -= 1
-        return Polynomial(c[: k + 1])
 
 
 def ruffini(c, z0):

@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .kernel import Polynomial, poly_roots
-from .parser import ExprParser
+from .parser import ExprParser, cancel, exact, rounded
 
 SNAP_TOL = 1e-7
 CHART_RADIUS = 2.0
@@ -387,24 +387,25 @@ def local_pair(num, den, z0):
 class RationalMap:
     """A rational map f = num/den of degree max(deg num, deg den) >= 1.
 
-    The stored fraction is reduced by ``_reduce_fraction`` (no common
-    roots) and the denominator is monic (or exactly 1 when constant).
+    num and den are Polynomials or ascending coefficients, doubles or
+    ``parser.ExprParser``'s exact pairs.  The fraction is divided by their
+    exact GCD (``parser.cancel``; a double is a dyadic rational) and rounded
+    once where a factor cancels or the input is exact; else the doubles keep
+    their bits, signed zeros too.  The denominator is then made monic in
+    floats (or exactly 1 when constant).
     """
 
     def __init__(self, num, den):
-        num = num if isinstance(num, Polynomial) else Polynomial(num)
-        den = den if isinstance(den, Polynomial) else Polynomial(den)
-        if den.is_zero:
+        pair = [p.coeffs if isinstance(p, Polynomial) else p for p in (num, den)]
+        xnum, xden = map(exact, pair)
+        if not xden:
             raise MapError("denominator is identically zero")
-        num, den = _reduce_fraction(num, den)
+        cut = cancel(xnum, xden)
+        num, den = (Polynomial(rounded(p)) for p in (cut if len(cut[1]) < len(xden) else pair))
         # normalize: monic denominator, or den == 1 when constant
-        if den.degree == 0:
-            num = Polynomial(num.coeffs / den.coeffs[0])
-            den = Polynomial([1.0])
-        else:
-            lead = den.coeffs[-1]
-            num = Polynomial(num.coeffs / lead)
-            den = Polynomial(den.coeffs / lead)
+        lead = den.coeffs[-1]
+        num = Polynomial(num.coeffs / lead)
+        den = Polynomial(den.coeffs / lead if den.degree else [1.0])
         self.num = num
         self.den = den
         self.degree = max(num.degree, den.degree)
@@ -569,26 +570,6 @@ def _as_point(z):
     return SpherePoint(z)
 
 
-def _reduce_fraction(num, den):
-    """Remove common roots of num and den (numerically) and re-trim."""
-    if num.is_zero:
-        return num, Polynomial([1.0])
-    num = num.trimmed()
-    den = den.trimmed()
-    if den.degree >= 1 and num.degree >= 1:
-        scale_n = num.scale()
-        for root, mult in poly_roots(den):
-            for _ in range(mult):
-                if num.degree == 0:
-                    break
-                if abs(num(root)) <= 1e-8 * scale_n * max(1.0, abs(root)) ** num.degree:
-                    num = num.deflated(root)
-                    den = den.deflated(root)
-                else:
-                    break
-    return num, den
-
-
 class RamificationDivisor:
     """Weighted point set on the sphere; points distinct under snap tolerance."""
 
@@ -638,6 +619,6 @@ class RamificationDivisor:
 def parse_map(text, params=None):
     """Parse an expression in z (with optional parameter bindings) to a RationalMap."""
     num, den = ExprParser(text, params).parse()
-    if num.is_zero:
+    if not num:
         raise MapError("expression is identically zero (not a self-map)")
     return RationalMap(num, den)

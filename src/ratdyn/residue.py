@@ -58,7 +58,7 @@ import numpy as np
 
 from .kernel import Polynomial, horner_with_derivative
 from .parabolic import UNITY_TOL, ParabolicInvariants, tangency_and_residu
-from .parser import ExprParser
+from .parser import ExprParser, rounded
 from .ratmap import RationalMap, _as_point, local_pair
 
 QUAD_BUDGET = 1_000_000
@@ -85,7 +85,7 @@ class FormDensity:
     @classmethod
     def parse(cls, text, m=1, params=None):
         num, den = ExprParser(text, params).parse()
-        return cls(num, den, m)
+        return cls(rounded(num), rounded(den), m)
 
     def density(self, z):
         """(1/pi) |W(z)|^(2/m), vectorized over complex arrays."""

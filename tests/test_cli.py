@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,17 @@ class TestParse:
     def test_exponent_literal(self, capsys):
         code, out, _ = run_cli(capsys, "parse", "--map", "z^2+1e-3")
         assert code == 0 and json.loads(out)["num"][0] == [1e-3, 0.0]
+
+    def test_large_constant_term_keeps_the_degree(self, capsys):
+        code, out, _ = run_cli(capsys, "cycles", "--map", "z^2+1e20", "--max-period", "1")
+        assert code == 0 and json.loads(out)["degree"] == 2
+
+    def test_overflowing_literal_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "parse", "--map", "1e999999999*z")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
 
     def test_missing_map_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "parse")
@@ -317,6 +329,11 @@ class TestPipelines:
         ("--map-file", {"map": "z^2 + c", "params": {"c": 5}}, "MapError"),
         ("--map-file", {"map": "z^2 + c", "params": {"c": [1]}}, "MapError"),
         ("--map-file", {"map": "z^2 + c", "params": [1, 2]}, "MapError"),
+        *[("--annot", {"annotations": [{"kind": "HermanRing", "period": period,
+                                        "annulus": [1, 2]}]}, "CycleError")
+          for period in (None, [1], 2.7, True, -1)],
+        ("--annot", {"annotations": [{"kind": "HermanRng", "period": 1, "annulus": [1, 2]}]},
+         "CycleError"),
     ])
     def test_malformed_json_input_exits_2(self, capsys, tmp_path, flag, doc, error):
         path = tmp_path / "in.json"

@@ -6,10 +6,11 @@ cycle solver and the charts all see a map they have not seen in that form.
 Tails stay out: their comparison waits for a Bounded verdict that is proven.
 """
 
+import sys
+
 import pytest
 
 from ratdyn.corpus import _bind_params, load_corpus, run_pipeline
-from ratdyn.cycles import CycleError
 from ratdyn.ratmap import parse_map
 
 # (expression, parameters, max period): each corpus entry without
@@ -28,11 +29,6 @@ KNOWN = {
         strict=True, raises=AssertionError,
         reason="the class of a parabolic point is the sign of Re ν, here 0 "
                "up to rounding: -0 in z, 2.2e-16 after the translation"),
-    ("z + z^3", "(z + 1)/(z - 2)"): pytest.mark.xfail(
-        strict=True, raises=CycleError,
-        reason="the parser cancels the 5-fold common root z = 1 of the "
-               "unreduced fraction by numerical roots, which split it 1 + 3 + 1 "
-               "up to 2e-3 apart: the parsed map has degree 5, not 3"),
 }
 
 
@@ -71,3 +67,42 @@ def test_conjugate_has_the_same_invariants(expr, phi):
         assert abs(complex(*q[3:]) - complex(*p[3:])) < 1e-6
     assert g_counts == counts
 
+
+# composed expressions whose exact fraction has a common factor, or whose
+# coefficients are products of decimals
+COMPOSED = [
+    "(z^2 - 0.01)/(z - 0.1)",
+    "((z^2 - 1)/(z - 1))^2/(z + 1) + z",
+    "(z + 0.1)^3 - 0.1",
+    "(0.1*z + 0.2)^2/(0.3*z - 0.7)",
+    "(z - 1)^5*(z + 2)/((z - 1)^5*(z^2 + 0.5i))",
+]
+
+
+@pytest.mark.parametrize("expr,params", [
+    pytest.param(conjugate(expr, phi, CONJUGATORS[phi]), params, id=f"{expr} by {phi}")
+    for expr, (params, _) in MAPS.items() for phi in CONJUGATORS]
+    + [pytest.param(expr, {}, id=expr) for expr in COMPOSED])
+def test_parse_matches_sympy_cancel(expr, params):
+    # sympy cancels the exact fraction (literals rational, parameters the
+    # exact values of their doubles); the parsed map has its degrees, and
+    # each coefficient of the monic-denominator form within a few ulps
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (
+        convert_xor, implicit_multiplication, parse_expr, rationalize, standard_transformations)
+
+    z = sympy.Symbol("z")
+    names = {"z": z, "i": sympy.I}
+    for name, value in params.items():  # sympy's Rational of a double is exact
+        names[name] = sympy.Rational(value.real) + sympy.I * sympy.Rational(value.imag)
+    parsed = parse_expr(expr, local_dict=names,
+                        transformations=standard_transformations
+                        + (convert_xor, rationalize, implicit_multiplication))
+    p, q = (sympy.Poly(sympy.expand(x), z) for x in sympy.fraction(sympy.cancel(parsed)))
+    lead = q.LC()
+    f = parse_map(expr, params)
+    for got, want in ((f.num, p), (f.den, q)):
+        exact = [complex(c / lead) for c in reversed(want.all_coeffs())]
+        assert len(got.coeffs) == len(exact)
+        for g, w in zip(got.coeffs, exact):
+            assert abs(g - w) <= 4 * sys.float_info.epsilon * abs(w)

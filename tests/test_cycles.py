@@ -1,5 +1,8 @@
 """Cycle enumeration, multipliers, and the taxonomy."""
 
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -59,8 +62,12 @@ def mobius_conjugate(f, a, b, c, d):
     """h o f o h^{-1} for h = (az+b)/(cz+d)."""
     hin, hid = Polynomial([-b, d]), Polynomial([a, -c])  # h^{-1}
     deg = f.degree
+
+    def power(p, k):  # the repeated product
+        return reduce(operator.mul, [p] * k, Polynomial([1.0]))
+
     # p(hin/hid) hid^deg, term by term
-    n1, d1 = (sum(hin**k * hid ** (deg - k) * ck for k, ck in enumerate(p.coeffs))
+    n1, d1 = (sum(power(hin, k) * power(hid, deg - k) * ck for k, ck in enumerate(p.coeffs))
               for p in (f.num, f.den))
     return RationalMap(a * n1 + b * d1, c * n1 + d * d1)
 
@@ -327,7 +334,7 @@ class TestIteratedMapRoots:
         a = complex(rng.standard_normal(), rng.standard_normal())
         b = a + 3e-4 * np.exp(0.7j)
         den = Polynomial(dcoef)
-        cubic = Polynomial([-a, 1]) ** 2 * Polynomial([-b, 1])
+        cubic = Polynomial([-a, 1]) * Polynomial([-a, 1]) * Polynomial([-b, 1])
         f = RationalMap(Polynomial([0, 1]) * den - dcoef[2] * cubic, den)
         [(z, mult, _)], _ = _fixed_points(f, 1)
         found = sorted(zip(z, mult), key=lambda pm: abs(pm[0] - a))

@@ -43,8 +43,8 @@ def test_sphere_distance_lives_in_ratmap():
 
 
 def test_synthetic_division_lives_in_kernel():
-    # kernel.ruffini is the one pass of synthetic division (shifted and
-    # deflated run it); no other module runs the recurrence acc = c[i] + z0 acc
+    # kernel.ruffini is the one pass of synthetic division (Polynomial.shifted
+    # runs it); no other module runs the recurrence acc = c[i] + z0 acc
     recurrence = r"(\w+) = (\w+\[\w+\] = )?\w+\[\w+\] \+ \w+ \* \1\b"
     assert _modules_matching(recurrence) == {"kernel"}
 
@@ -188,9 +188,26 @@ def test_no_unused_imports():
 
 
 def test_no_private_call_layers():
-    # the parser combines its Polynomial pairs inline, and dynamical_residue
-    # picks the region family once and calls the region functions itself
+    # the parser combines its exact (num, den) pairs inline, with plain
+    # functions on Fraction pairs, and dynamical_residue picks the region
+    # family once and calls the region functions itself
     assert not _modules_matching(r"_FractionField|_region_sample")
+
+
+def test_one_exact_reduction(monkeypatch):
+    # parser.cancel is the one rule for common factors: no trimming
+    # tolerance, no numerical cancellation, and no root solve when a map is
+    # built; the parser's exact arithmetic needs nothing from kernel
+    assert not _modules_matching(r"\b(TRIM_TOL|_reduce_fraction)\b")
+    assert "parser" not in _modules_matching(r"(?m)^\s*(from|import) \S*kernel\b")
+
+    def no_roots(p):
+        raise AssertionError("poly_roots ran while a map was built")
+
+    monkeypatch.setattr(ratdyn.ratmap, "poly_roots", no_roots)
+    monkeypatch.setattr(ratdyn.kernel, "poly_roots", no_roots)
+    assert ratdyn.RationalMap([-1, 0, 1], [-1, 1]).degree == 1
+    assert ratdyn.parse_map("(z^2+1)^2 / (4*z^3 - 4*z)").degree == 4
 
 
 def test_parabolic_model_has_one_home():

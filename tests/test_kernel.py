@@ -41,7 +41,6 @@ class TestPolynomial:
         assert (p * q).degree == 3
         assert np.allclose((p + q).coeffs, [1, 1, 1])
         assert np.allclose((p - p).coeffs, [0])
-        assert np.allclose((p**3).coeffs, [1, 3, 3, 1])
 
     def test_derivative(self):
         p = Polynomial([5, 0, 3, 2])  # 5 + 3z^2 + 2z^3
@@ -58,10 +57,6 @@ class TestPolynomial:
         assert ruffini([3, 1, -2, 1], 2).tolist() == [5, 1, 0, 1]
         assert ruffini([4], 2).tolist() == [4]
 
-    def test_deflated_drops_a_root(self):
-        p = Polynomial([-6, 1, 1])  # (z - 2)(z + 3)
-        assert p.deflated(2).coeffs.tolist() == [3, 1]
-
     def test_shifted_is_repeated_division(self):
         # coefficient j of the shift is the remainder of the j-th division
         p = Polynomial([0.5 - 1j, 2, -3j, 1, 0.25])
@@ -72,11 +67,6 @@ class TestPolynomial:
             want.append(b[0])
             q = b[1:]
         assert p.shifted(z0).coeffs.tolist() == want
-
-    def test_trimmed_drops_tiny_trailing_coefficients(self):
-        p = Polynomial([1, 1e-13, 2, 1e-12, 2e-13])
-        assert p.trimmed().coeffs.tolist() == [1, 1e-13, 2]
-        assert Polynomial([0]).trimmed().is_zero
 
     def test_compose(self):
         p = Polynomial([0, 0, 1])  # z^2
@@ -116,13 +106,14 @@ class TestRoots:
 
     def test_double_root_keeps_close_simple_root(self):
         # (z - 1)^2 (z - 1 - 3e-4): a triple root at 1 + 1e-4 is not certified
-        p = Polynomial([-1, 1]) ** 2 * Polynomial([-(1 + 3e-4), 1])
+        p = Polynomial([-1, 1]) * Polynomial([-1, 1]) * Polynomial([-(1 + 3e-4), 1])
         (z1, m1), (z2, m2) = poly_roots(p)
         assert (m1, m2) == (2, 1)
         assert abs(z1 - 1) < 1e-9 and abs(z2 - (1 + 3e-4)) < 1e-7
 
     def test_triple_root(self):
-        p = Polynomial([-1, 1]) ** 3
+        lin = Polynomial([-1, 1])
+        p = lin * (lin * lin)
         [(z, m)] = poly_roots(p)
         assert m == 3 and abs(z - 1) < 1e-5
 
@@ -130,7 +121,8 @@ class TestRoots:
     def test_triple_root_at_certified_value(self, a):
         # (z - a)^3 (z - a - 1/2): the iterates of a stand within eps^(1/3)
         # of it; the one reported root is the certified, machine-precision one
-        p = Polynomial([-a, 1]) ** 3 * Polynomial([-(a + 0.5), 1])
+        lin = Polynomial([-a, 1])
+        p = lin * (lin * lin) * Polynomial([-(a + 0.5), 1])
         [(za, ma), (zb, mb)] = poly_roots(p)
         assert (ma, mb) == (3, 1)
         assert abs(za - a) < 1e-13 and abs(zb - (a + 0.5)) < 1e-9
@@ -144,7 +136,7 @@ class TestRoots:
         # (z - 1)^2 (z + 2) (z - 3): the double root is reported once, at
         # its first member (iterate 1), at the certified value; the simple
         # roots keep their places and their values
-        q = Polynomial([-1, 1]) ** 2 * Polynomial([2, 1]) * Polynomial([-3, 1])
+        q = Polynomial([-1, 1]) * Polynomial([-1, 1]) * Polynomial([2, 1]) * Polynomial([-3, 1])
         z = np.array([3.0, 1 + 1e-8j, -2.0, 1 - 1e-8j])
         found = collapse_multiple_roots(z, lambda x, k: _shifted_taylor(q, q.scale(), x, k))
         assert [m for _, m in found] == [1, 2, 1]

@@ -5,6 +5,7 @@ import cmath
 import math
 import struct
 import warnings
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from ratdyn import ratmap
 from ratdyn.cli import main
 from ratdyn.kernel import Polynomial
-from ratdyn.parser import ExprParser, ParseError
+from ratdyn.parser import ExprParser, ParseError, rounded
 from ratdyn.ratmap import (
     CHART_RADIUS,
     SNAP_TOL,
@@ -128,44 +129,17 @@ class TestSpherePoint:
                 RationalMap([0, 0, 1e308], [1])
 
 
-def _written_out_products():
-    """Expression -> thunk of (num, den), each step the Polynomial product or
-    sum the parser takes, in its order; a^k is ((1 a) a) ... a."""
-    one, z = Polynomial([1.0]), Polynomial([0.0, 1.0])
-
-    def c(x):
-        return Polynomial([complex(x)])
-
-    def cube_over_square():  # (z+0.1)^3/(2z-1)^2
-        n, d = z * one + c(0.1) * one, one * one
-        n3, d3 = one * n * n * n, one * d * d * d
-        n, d = (c(2) * z) * one - c(1) * (one * one), (one * one) * one
-        n2, d2 = one * n * n, one * d * d
-        return n3 * d2, d3 * n2
-
-    def negated_product():  # -(1+2i)z^2/(z-0.3i)
-        n, d = -(c(1) * one + c(2j) * one), one * one
-        n, d = n * (one * z * z), d * (one * one * one)
-        return n * (one * one), d * (z * one - c(0.3j) * one)
-
-    def nested_quotient():  # 1/(1/z)
-        return c(1) * (one * z), one * (c(1) * one)
-
-    def implicit_difference():  # 3(z+1)^2 - z(z-1)
-        n, d = z * one + c(1) * one, one * one
-        an, ad = c(3) * (one * n * n), one * (one * d * d)
-        bn, bd = z * (z * one - c(1) * one), one * (one * one)
-        return an * bd - bn * ad, ad * bd
-
-    return {
-        "(z+0.1)^3/(2z-1)^2": cube_over_square,
-        "-(1+2i)z^2/(z-0.3i)": negated_product,
-        "1/(1/z)": nested_quotient,
-        "3(z+1)^2 - z(z-1)": implicit_difference,
-    }
-
-
-PARSED_PRODUCTS = _written_out_products()
+# expression -> its exact (num, den), coefficients (re, im) ascending
+EXACT_PARSES = {
+    # (z + 1/10)^3 over (2z - 1)^2, each coefficient a binomial term
+    "(z+0.1)^3/(2z-1)^2": ([(F(1, 1000), 0), (F(3, 100), 0), (F(3, 10), 0), (1, 0)],
+                           [(1, 0), (-4, 0), (4, 0)]),
+    "-(1+2i)z^2/(z-0.3i)": ([(0, 0), (0, 0), (-1, -2)], [(0, F(-3, 10)), (1, 0)]),
+    "1/(1/z)": ([(0, 0), (1, 0)], [(1, 0)]),
+    "3(z+1)^2 - z(z-1)": ([(3, 0), (7, 0), (2, 0)], [(1, 0)]),
+    # a parameter is the exact value of its double, not of its decimal
+    "c z": ([(0, 0), (F(0.1), 0)], [(1, 0)]),
+}
 
 
 class TestParseAndEvaluate:
@@ -197,14 +171,14 @@ class TestParseAndEvaluate:
         ("z^2 + 1e-3", [1e-3, 0, 1]), ("1e200", [1e200]), ("2.5E+1i", [25j])])
     def test_exponent_literals(self, text, num):
         got, den = ExprParser(text, None).parse()
-        assert got.coeffs.tolist() == num and den.coeffs.tolist() == [1]
+        assert rounded(got) == num and rounded(den) == [1]
 
     @pytest.mark.parametrize("text,num", [
         ("2z", [0, 2]), ("3(z+1)", [3, 3]), ("z(z-1)", [0, -1, 1]),
         ("2z^2 + 1", [1, 0, 2]), ("c z", [0, 0.5 - 1j]), ("2i z", [0, 2j])])
     def test_implicit_multiplication(self, text, num):
         got, den = ExprParser(text, {"c": 0.5 - 1j}).parse()
-        assert got.coeffs.tolist() == num and den.coeffs.tolist() == [1]
+        assert rounded(got) == num and rounded(den) == [1]
 
     def test_number_after_factor_is_not_a_product(self):
         # implicit '*' comes only before a name or '('
@@ -215,24 +189,39 @@ class TestParseAndEvaluate:
         with pytest.raises(ParseError, match="nonnegative integer"):
             parse_map("z^1e2")
 
-    @pytest.mark.parametrize("text", list(PARSED_PRODUCTS))
-    def test_parse_is_the_written_out_products(self, text):
-        # the parser's sums and products of (num, den) pairs, in its operation
-        # order: a different order rounds differently
-        num, den = ExprParser(text, None).parse()
-        want_num, want_den = PARSED_PRODUCTS[text]()
-        assert num.coeffs.tobytes() == want_num.coeffs.tobytes()
-        assert den.coeffs.tobytes() == want_den.coeffs.tobytes()
+    @pytest.mark.parametrize("text", list(EXACT_PARSES))
+    def test_parse_is_exact(self, text):
+        num, den = EXACT_PARSES[text]
+        got = ExprParser(text, {"c": 0.1}).parse()
+        assert got == ([tuple(map(F, c)) for c in num], [tuple(map(F, c)) for c in den])
 
-    def test_power_is_the_repeated_product(self):
-        # at k = 7 binary powering (Polynomial.__pow__) rounds differently
+    def test_power_is_rounded_once(self):
+        # (3z/10 - 17i/10)^7 by the binomial theorem: each coefficient is
+        # the nearest double of its exact value (a product of doubles,
+        # rounded at every step, misses some of them)
         num, _ = ExprParser("(0.3z - 1.7i)^7", None).parse()
-        one, z = Polynomial([1.0]), Polynomial([0.0, 1.0])
-        base = (Polynomial([0.3]) * z) * one - Polynomial([1.7j]) * (one * one)
-        want = one
+        a, b = (F(3, 10), F(0)), (F(0), F(-17, 10))
+        want = []
+        for k in range(8):
+            re, im = F(math.comb(7, k)), F(0)
+            for x in [a] * k + [b] * (7 - k):
+                re, im = re * x[0] - im * x[1], re * x[1] + im * x[0]
+            want.append((re, im))
+        assert num == want
+        assert rounded(num) == [complex(float(re), float(im)) for re, im in want]
+        floats = Polynomial([1.0])
         for _ in range(7):
-            want = want * base
-        assert num.coeffs.tobytes() == want.coeffs.tobytes() != (base ** 7).coeffs.tobytes()
+            floats = floats * Polynomial([-1.7j, 0.3])
+        assert floats.coeffs.tolist() != rounded(num)
+
+    def test_underflowing_literal_is_its_double(self):
+        # 1e-99999999 is 0.0 as a double; its power of ten is never built
+        assert ExprParser("z + 1e-99999999", None).parse()[0] == [(0, 0), (1, 0)]
+
+    def test_long_literal_is_exact(self):
+        # more digits than int(str) converts: 1 + 10^-5000 rounds to 1
+        (c,) = ExprParser("1." + "0" * 4999 + "1", None).parse()[0]
+        assert c == (1 + F(1, 10**5000), 0) and rounded([c]) == [1.0]
 
     @given(z=finite_complex(6.0))
     def test_step_matches_polynomial_evaluation(self, z):
